@@ -18,6 +18,8 @@
 // The committed /BENCH_core.json keeps a {"before": ..., "after": ...} pair
 // from this harness across the hot-path overhaul; scripts/bench_check.py
 // compares a fresh --quick run against the committed "after" baseline.
+// Before/after legs of a change are two git revisions of this binary,
+// interleaved by scripts/bench_ab.sh.
 
 #include <sys/resource.h>
 
@@ -178,7 +180,7 @@ trace::Trace makeFig6Trace(const game::GameMap& map, const game::ObjectDatabase&
   return trace::generateCsTrace(map, db, tcfg);
 }
 
-Fig6Result runFig6(SimTime duration, bool scalarMatch) {
+Fig6Result runFig6(SimTime duration) {
   const auto map = bench::paperMap();
   const auto db = bench::paperObjects(map);
   const auto trace = makeFig6Trace(map, db, duration);
@@ -188,7 +190,6 @@ Fig6Result runFig6(SimTime duration, bool scalarMatch) {
   {  // timed pass: no observer in the way.
     GCopssRunConfig g;
     g.numRps = 3;
-    g.stOptions.batchedMatch = !scalarMatch;
     const std::uint64_t allocs0 = g_news;
     const auto t0 = std::chrono::steady_clock::now();
     out.summary = runGCopssTrace(map, trace, g);
@@ -201,7 +202,6 @@ Fig6Result runFig6(SimTime duration, bool scalarMatch) {
   {  // audited pass: same world, InvariantChecker observing every packet.
     GCopssRunConfig g;
     g.numRps = 3;
-    g.stOptions.batchedMatch = !scalarMatch;
     std::unique_ptr<check::InvariantChecker> checker;
     g.onWorldReady = [&](const GCopssRunConfig::WorldView& wv) {
       checker = std::make_unique<check::InvariantChecker>(wv.net, wv.routers, wv.clients);
@@ -248,21 +248,14 @@ void writeMeasurement(std::FILE* f, const char* key, const Measurement& m, bool 
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool scalarMatch = false;
   std::string outPath;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--scalar-match") == 0) {
-      // The batched-data-plane "before" leg: force the scalar ST oracle
-      // (SubscriptionTable::Options::batchedMatch=false) so a baseline
-      // refresh can interleave scalar/batched runs on one host
-      // (docs/PERFORMANCE.md "Refreshing BENCH_core.json").
-      scalarMatch = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       outPath = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--scalar-match] [--out PATH]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--out PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -284,7 +277,7 @@ int main(int argc, char** argv) {
   std::printf("[2/2] fig6 scenario (400 players, 3 RPs, %lld s sim)...\n",
               static_cast<long long>(fig6Duration / kSecond));
   std::fflush(stdout);
-  const Fig6Result fig6 = runFig6(fig6Duration, scalarMatch);
+  const Fig6Result fig6 = runFig6(fig6Duration);
   std::printf("      %.0f events/sec, %.1f ns/event, %.3f allocs/event, mean latency %.2f ms\n",
               fig6.timed.eventsPerSec(), fig6.timed.nsPerEvent(), fig6.timed.allocsPerEvent(),
               fig6.summary.meanMs);
@@ -301,7 +294,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"schema\": \"gcopss-bench-core-v1\",\n  \"mode\": \"%s\",\n",
                quick ? "quick" : "full");
-  std::fprintf(f, "  \"st_match\": \"%s\",\n", scalarMatch ? "scalar" : "batched");
   std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", rssKb);
   std::fprintf(f, "  \"event_loop\": {\n");
   writeMeasurement(f, "loop", loop, false);

@@ -5,9 +5,10 @@
 // mutation:
 //   * soundness — every live exact subscription still probes true in its
 //     face's counting Bloom filter (the invariant src/check audits in-world);
-//   * differential match — the hashed fast path returns the same face set as
-//     the exact slow path, given the prefix hashes a real MulticastPacket
-//     would carry;
+//   * differential match — the one match path, fed the prefix hashes a real
+//     MulticastPacket would carry, returns the same faces in the same order
+//     and charges the same Bloom false positives as the scalar reference
+//     model (tests/st_oracle.hpp), on the sweep and again on the cache hit;
 //   * refcount bookkeeping — subscribe/unsubscribe return values agree with
 //     an independent shadow multiset.
 // Violations abort() so the fuzzer records the input.
@@ -23,6 +24,7 @@
 #include "copss/packets.hpp"
 #include "copss/st.hpp"
 #include "fuzz/byte_source.hpp"
+#include "tests/st_oracle.hpp"
 
 using namespace gcopss;
 
@@ -66,11 +68,16 @@ void checkDifferential(const copss::SubscriptionTable& st,
                        const std::vector<Name>& cds, NodeId exclude) {
   // prefixHashes exactly as a decoded MulticastPacket would carry them.
   const auto m = makePacket<copss::MulticastPacket>(cds, 0, 0, 0, 0);
-  std::vector<NodeId> slow = st.matchFaces(cds, exclude);
-  std::vector<NodeId> fast = st.matchFacesHashed(cds, m->prefixHashes, exclude);
-  std::sort(slow.begin(), slow.end());
-  std::sort(fast.begin(), fast.end());
-  if (slow != fast) fail("hashed match diverges from exact match");
+  const test::OracleMatch want = test::oracleMatch(st, cds, exclude);
+  for (int pass = 0; pass < 2; ++pass) {  // sweep, then (usually) a cache hit
+    std::vector<NodeId> got;
+    const std::uint64_t fpBefore = st.bloomFalsePositives();
+    st.matchFacesHashedInto(cds, m->prefixHashes, m->matchKey, exclude, got);
+    if (got != want.faces) fail("match diverges from the scalar oracle");
+    if (st.bloomFalsePositives() - fpBefore != want.falsePositives) {
+      fail("false-positive accounting diverges from the scalar oracle");
+    }
+  }
 }
 
 }  // namespace

@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Interleaved A/B of one benchmark across two git revisions.
+#
+#   scripts/bench_ab.sh REV_A REV_B PAIRS [KEY] -- CMD...
+#
+# Builds each revision in its own git worktree under build-ab/<sha>/ with the
+# same Release configuration, then runs CMD PAIRS times per side, alternating
+# the order (A first on even pairs, B first on odd ones) so drift on a shared
+# host hits both sides alike. CMD runs from the worktree root; `{out}` in CMD
+# is replaced by the JSON path of that run. KEY is the dotted path of the
+# number to compare in that JSON (default: fig6.timed.events_per_sec).
+# Prints every run, then per side the median and quartiles, and in how many
+# pairs B's value is higher than A's.
+#
+# Example (the "before" leg of a data-plane change is its parent commit):
+#   scripts/bench_ab.sh HEAD~1 HEAD 10 -- build/bench/bench_core --quick --out {out}
+#
+# Worktrees are kept for reuse; drop them with `git worktree remove build-ab/<sha>`.
+set -euo pipefail
+shopt -s inherit_errexit
+
+usage() { echo "usage: $0 REV_A REV_B PAIRS [KEY] -- CMD..." >&2; exit 2; }
+[[ $# -ge 5 ]] || usage
+rev_a=$1 rev_b=$2 pairs=$3
+shift 3
+key=fig6.timed.events_per_sec
+if [[ $1 != -- ]]; then key=$1; shift; fi
+[[ $# -ge 2 && $1 == -- ]] || usage
+shift
+[[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
+
+root=$(git rev-parse --show-toplevel)
+work=$root/build-ab
+mkdir -p "$work/out"
+
+checkout() {  # REV -> worktree dir with a Release build of REV
+  local sha dir
+  sha=$(git -C "$root" rev-parse --short=12 "$1^{commit}")
+  dir=$work/$sha
+  [[ -d $dir ]] || git -C "$root" worktree add --detach "$dir" "$sha" >&2
+  cmake -S "$dir" -B "$dir/build" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$dir/build" -j "$(nproc)" >/dev/null
+  echo "$dir"
+}
+dir_a=$(checkout "$rev_a")
+dir_b=$(checkout "$rev_b")
+
+run() {  # SIDE DIR PAIR -> appends "SIDE value" to the results file
+  local out=$work/out/$1-$3.json
+  (cd "$2" && "${cmd[@]//\{out\}/$out}") >"$work/out/$1-$3.log" 2>&1
+  python3 -c 'import json, sys
+v = json.load(open(sys.argv[1]))
+for k in sys.argv[2].split("."):
+    v = v[k]
+print(sys.argv[3], float(v))' "$out" "$key" "$1" | tee -a "$results"
+}
+cmd=("$@")
+results=$work/out/results.txt
+: >"$results"
+for ((i = 0; i < pairs; i++)); do
+  if ((i % 2 == 0)); then
+    run A "$dir_a" "$i"; run B "$dir_b" "$i"
+  else
+    run B "$dir_b" "$i"; run A "$dir_a" "$i"
+  fi
+done
+
+python3 - "$results" "$key" "$rev_a" "$rev_b" <<'EOF'
+import statistics, sys
+rows = [line.split() for line in open(sys.argv[1])]
+side = {s: [float(v) for t, v in rows if t == s] for s in "AB"}
+print(f"{sys.argv[2]} over {len(side['A'])} interleaved pairs")
+for s, rev in (("A", sys.argv[3]), ("B", sys.argv[4])):
+    q1, med, q3 = statistics.quantiles(side[s], n=4) if len(side[s]) > 1 else [side[s][0]] * 3
+    print(f"  {s} {rev}: median {med:.6g}  quartiles [{q1:.6g}, {q3:.6g}]")
+wins = sum(b > a for a, b in zip(side["A"], side["B"]))
+print(f"  B higher than A in {wins} of {len(side['A'])} pairs")
+EOF

@@ -69,7 +69,7 @@ void HybridEdgeRouter::handle(NodeId fromFace, const PacketPtr& pkt) {
         return;
       }
       // From the core: deliver to interested hosts; count pure aliasing waste.
-      if (!st().anyMatch(mcast.cds, fromFace)) ++unwanted_;
+      if (st().matchFaces(mcast.cds, fromFace).empty()) ++unwanted_;
       CopssRouter::handle(fromFace, pkt);
       return;
     }

@@ -50,6 +50,22 @@ struct UnsubscribePacket : Packet {
   bool scoped = false;
 };
 
+// "Hash at the first hop": appends the hash of every prefix level of `cd`,
+// root first — a run of cd.size() + 1 hashes ending in cd's own hash.
+// Transit routers match the ST Bloom filters on these and never touch the
+// textual name again. The hashes come from the interner's parent chain
+// (NameTable hashes are bit-identical to Name::hash()), so no intermediate
+// prefix Names are materialised.
+inline void appendPrefixHashes(const Name& cd, std::vector<std::uint64_t>& out) {
+  auto& names = NameTable::instance();
+  const std::size_t base = out.size();
+  out.resize(base + cd.size() + 1);
+  NameId cur = names.intern(cd);
+  for (std::size_t len = cd.size() + 1; len-- > 0; cur = names.parent(cur)) {
+    out[base + len] = names.hash(cur);
+  }
+}
+
 // A published update. Carries its CDs plus their pre-computed hashes — the
 // paper's optimisation of hashing once at the first-hop router so transit
 // routers only do Bloom bit tests.
@@ -60,21 +76,9 @@ struct MulticastPacket : Packet {
       : Packet(kKind, kMulticastHeaderBytes + payload), cds(std::move(cdsIn)),
         payloadSize(payload), publishedAt(published), seq(seqIn),
         publisher(publisherIn) {
-    // "Hash at the first hop": transit routers match the ST Bloom filters on
-    // these pre-computed hashes — one per prefix level of each CD — and never
-    // touch the textual name again. The prefix hashes come from the interner's
-    // parent chain (NameTable hashes are bit-identical to Name::hash()), so no
-    // intermediate prefix Names are materialised.
-    auto& names = NameTable::instance();
     for (const auto& c : cds) {
-      const NameId id = names.intern(c);
-      cdHashes.push_back(names.hash(id));
-      const std::size_t base = prefixHashes.size();
-      prefixHashes.resize(base + c.size() + 1);
-      NameId cur = id;
-      for (std::size_t len = c.size() + 1; len-- > 0; cur = names.parent(cur)) {
-        prefixHashes[base + len] = names.hash(cur);
-      }
+      appendPrefixHashes(c, prefixHashes);
+      cdHashes.push_back(prefixHashes.back());
     }
     matchKey = foldHashes(prefixHashes.data(), prefixHashes.size());
   }

@@ -7,11 +7,6 @@
 
 namespace gcopss::copss {
 
-std::uint64_t nextMigrationTxnId() {
-  static std::uint64_t next = 1;
-  return next++;
-}
-
 CopssRouter::CopssRouter(NodeId id, Network& net, Options opts)
     : Node(id, net), opts_(opts),
       fwd_(ndn::Forwarder::Hooks{
@@ -223,7 +218,7 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
   // Batch point of the publish fan-out (DESIGN.md §4e): the packet carries
   // its folded prefix-hash key, so publications sharing a CD set within a
   // tick replay this hop's whole match from the ST's cache; misses run the
-  // word-parallel bit-plane sweep (scalar probes when batchedMatch is off).
+  // word-parallel bit-plane sweep.
   st_.matchFacesHashedInto(mcast.cds, mcast.prefixHashes, mcast.matchKey, excludeFace, faces);
   auto& sent = sentRecord(mcast.seq);
   // Transient overlapping trees (during migration, or coarse subscriptions
@@ -357,7 +352,7 @@ void CopssRouter::assumeRp(const std::vector<Name>& prefixes) {
 void CopssRouter::assumeRp(const std::vector<Name>& prefixes,
                            const std::vector<std::uint64_t>& claimEpochs) {
   assert(claimEpochs.size() == prefixes.size());
-  const std::uint64_t txnId = nextMigrationTxnId();
+  const std::uint64_t txnId = nextTxnId_++;
   TxnState& t = txn(txnId);
   t.cds = prefixes;
   t.isOrigin = true;
@@ -398,7 +393,7 @@ void CopssRouter::maybeSplit() {
 
 void CopssRouter::initiateSplit(NodeId newRp, std::vector<Name> cds) {
   assert(newRp != id());
-  const std::uint64_t txnId = nextMigrationTxnId();
+  const std::uint64_t txnId = nextTxnId_++;
   ++splitsInitiated_;
   balancer_.markSplit(sim().now());
 
@@ -910,7 +905,7 @@ void CopssRouter::checkDismantle(std::uint64_t txnId, const std::vector<Name>& c
   TxnState& t = txn(txnId);
   for (const Name& cd : cds) {
     if (isRpFor(cd)) return;                  // tree roots never dismantle
-    if (!st_.facesMatching(cd).empty()) return;  // live downstream remains
+    if (!st_.matchFaces({cd}).empty()) return;  // live downstream remains
   }
   // No remaining interest below us: unhook from both trees.
   if (t.confirmed && t.newUpstream != kInvalidNode) {

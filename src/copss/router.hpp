@@ -307,10 +307,10 @@ class CopssRouter : public Node {
   std::uint64_t demotions_ = 0;
   std::uint64_t staleAnnouncementsIgnored_ = 0;
   std::uint64_t nextNonce_ = (static_cast<std::uint64_t>(id()) << 32) + 1;
+  // Migration-transaction ids (FibAdd flood keys, pending-ST txns): unique
+  // network-wide because the router id fills the high half, and minted
+  // without shared state, so RPs splitting on different shards never race.
+  std::uint64_t nextTxnId_ = (static_cast<std::uint64_t>(id()) << 32) + 1;
 };
-
-// Global migration-transaction id source (monotonic; deterministic because
-// splits themselves are deterministic).
-std::uint64_t nextMigrationTxnId();
 
 }  // namespace gcopss::copss

@@ -3,24 +3,45 @@
 #include <algorithm>
 
 #include "common/thread_annotations.hpp"
+#include "copss/packets.hpp"
 
 namespace gcopss::copss {
 
 SubscriptionTable::SubscriptionTable(Options opts)
-    : opts_(opts), probes_(opts.bloomBits, opts.bloomHashes) {
-  if (batchedActive() && opts_.matchCacheSlots > 0) {
-    std::size_t n = 1;
-    while (n < opts_.matchCacheSlots) n <<= 1;
-    cache_.resize(n);
-  }
+    : opts_(opts), probes_(opts.bloomBits, opts.bloomHashes), cache_(kCacheLines) {}
+
+// --- per-face exact store ---------------------------------------------------
+
+std::vector<SubscriptionTable::Sub>::const_iterator SubscriptionTable::FaceEntry::lowerBound(
+    std::uint64_t h) const {
+  return std::lower_bound(subs.begin(), subs.end(), h,
+                          [](const Sub& s, std::uint64_t key) { return s.hash < key; });
 }
 
-// --- batched index maintenance -------------------------------------------
+bool SubscriptionTable::FaceEntry::holds(std::uint64_t h) const {
+  const auto it = lowerBound(h);
+  return it != subs.end() && it->hash == h;
+}
+
+std::size_t SubscriptionTable::FaceEntry::indexOf(const Name& cd, std::uint64_t h) const {
+  auto it = lowerBound(h);
+  while (it != subs.end() && it->hash == h && it->cd != cd) ++it;
+  return it != subs.end() && it->hash == h ? static_cast<std::size_t>(it - subs.begin())
+                                           : subs.size();
+}
+
+bool SubscriptionTable::heldElsewhere(NodeId face, const Name& cd, std::uint64_t h) const {
+  for (const auto& [f, e] : table_) {
+    if (f != face && e.indexOf(cd, h) != e.subs.size()) return true;
+  }
+  return false;
+}
+
+// --- plane index maintenance -------------------------------------------------
 // All of this runs on the control plane (subscribe/unsubscribe/prune), never
 // per packet; the cold markers double as gcopss-tidy hot-alloc barriers.
 
-GCOPSS_COLD void SubscriptionTable::attachSlot(NodeId face, FaceEntry& e) {
-  (void)face;
+GCOPSS_COLD void SubscriptionTable::attachSlot(FaceEntry& e) {
   if (!freeSlots_.empty()) {
     e.slot = freeSlots_.back();
     freeSlots_.pop_back();
@@ -52,7 +73,6 @@ GCOPSS_COLD void SubscriptionTable::rebuildPlanes() {
 }
 
 GCOPSS_COLD void SubscriptionTable::releaseSlot(FaceEntry& e) {
-  if (e.slot == kNoSlot) return;
   const std::uint64_t bit = 1ull << (e.slot % 64);
   const std::size_t w = e.slot / 64;
   for (std::size_t idx = 0; idx < opts_.bloomBits; ++idx) {
@@ -64,11 +84,9 @@ GCOPSS_COLD void SubscriptionTable::releaseSlot(FaceEntry& e) {
   }
   slotEntry_[e.slot] = nullptr;
   freeSlots_.push_back(e.slot);
-  e.slot = kNoSlot;
 }
 
 void SubscriptionTable::syncPlanes(const FaceEntry& e, std::uint64_t nameHash) {
-  if (e.slot == kNoSlot) return;
   const std::uint64_t bit = 1ull << (e.slot % 64);
   const std::size_t w = e.slot / 64;
   // Re-derive each touched bit from the counter rather than mirroring the
@@ -85,7 +103,6 @@ void SubscriptionTable::syncPlanes(const FaceEntry& e, std::uint64_t nameHash) {
 }
 
 void SubscriptionTable::updatePrunedBit(const FaceEntry& e) {
-  if (e.slot == kNoSlot) return;
   const std::uint64_t bit = 1ull << (e.slot % 64);
   const std::size_t w = e.slot / 64;
   const bool now = !e.pruned.empty();
@@ -106,180 +123,93 @@ bool SubscriptionTable::subscribe(NodeId face, const Name& cd) {
   auto it = table_.find(face);
   if (it == table_.end()) {
     it = table_.emplace(face, FaceEntry(opts_.bloomBits, opts_.bloomHashes)).first;
-    if (batchedActive()) attachSlot(face, it->second);
+    attachSlot(it->second);
   }
   FaceEntry& e = it->second;
-  if (++e.exact[cd] == 1) {
-    e.bloom.add(cd);
-    if (batchedActive()) syncPlanes(e, cd.hash());
+  const std::uint64_t h = cd.hash();
+  const std::size_t i = e.indexOf(cd, h);
+  const bool fresh = i == e.subs.size();
+  if (fresh) {
+    e.subs.insert(e.lowerBound(h), Sub{h, cd, 1});
+    e.bloom.add(h);
+    syncPlanes(e, h);
+  } else {
+    ++e.subs[i].refs;
   }
-  e.exactHashes.increment(cd.hash());
   // A fresh subscription clears prunes of this CD and of anything below it.
-  for (auto pit = e.pruned.begin(); pit != e.pruned.end();) {
-    if (cd.isPrefixOf(*pit)) {
-      pit = e.pruned.erase(pit);
-    } else {
-      ++pit;
-    }
-  }
-  if (batchedActive()) {
-    updatePrunedBit(e);
-    bumpVersion();
-  }
-  return ++globalRefcount_[cd] == 1;
+  std::erase_if(e.pruned, [&cd](const Name& p) { return cd.isPrefixOf(p); });
+  updatePrunedBit(e);
+  bumpVersion();
+  return fresh && !heldElsewhere(face, cd, h);
 }
 
 bool SubscriptionTable::unsubscribe(NodeId face, const Name& cd) {
   const auto it = table_.find(face);
   if (it == table_.end()) return false;
   FaceEntry& e = it->second;
-  const auto cit = e.exact.find(cd);
-  if (cit == e.exact.end()) return false;
-  if (--cit->second == 0) {
-    e.exact.erase(cit);
-    e.bloom.remove(cd);
-    if (batchedActive()) syncPlanes(e, cd.hash());
+  const std::uint64_t h = cd.hash();
+  const std::size_t i = e.indexOf(cd, h);
+  if (i == e.subs.size()) return false;
+  const bool gone = --e.subs[i].refs == 0;
+  if (gone) {
+    e.subs.erase(e.subs.begin() + static_cast<std::ptrdiff_t>(i));
+    e.bloom.remove(h);
+    syncPlanes(e, h);
+    if (e.subs.empty()) {
+      releaseSlot(e);
+      table_.erase(it);
+    }
   }
-  e.exactHashes.decrement(cd.hash());
-  if (e.exact.empty()) {
-    if (batchedActive()) releaseSlot(e);
-    table_.erase(it);
-  }
-  if (batchedActive()) bumpVersion();
-
-  const auto git = globalRefcount_.find(cd);
-  if (git != globalRefcount_.end() && --git->second == 0) {
-    globalRefcount_.erase(git);
-    return true;
-  }
-  return false;
+  bumpVersion();
+  return gone && !heldElsewhere(face, cd, h);
 }
 
 // --- matching -------------------------------------------------------------
 
-bool SubscriptionTable::faceMatches(const FaceEntry& e,
-                                    const std::vector<Name>& cds) const {
-  for (const Name& cd : cds) {
-    if (e.pruned.count(cd)) continue;
-    // Check the filter for every prefix level of the CD (the paper's
-    // "/sports and /sports/football" walk).
-    bool bloomHit = false;
-    for (std::size_t len = 0; len <= cd.size() && !bloomHit; ++len) {
-      const Name p = cd.prefix(len);
-      if (opts_.useBloom) {
-        if (e.bloom.possiblyContains(p)) {
-          bloomHit = true;
-          if (!e.exact.count(p)) ++bloomFalsePositives_;
-        }
-      } else if (e.exact.count(p)) {
-        bloomHit = true;
-      }
-    }
-    if (bloomHit) return true;
-  }
-  return false;
-}
-
-bool SubscriptionTable::faceMatchesHashed(
-    const FaceEntry& e, const std::vector<Name>& cds,
-    const std::vector<std::uint64_t>& prefixHashes) const {
-  if (!e.pruned.empty()) return faceMatches(e, cds);  // slow path during migration
-  for (std::uint64_t h : prefixHashes) {
-    if (opts_.useBloom) {
-      if (e.bloom.possiblyContains(h)) {
-        if (!e.exactHashes.contains(h)) ++bloomFalsePositives_;
-        return true;
-      }
-    } else if (e.exactHashes.contains(h)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<NodeId> SubscriptionTable::matchFaces(const std::vector<Name>& cds,
                                                   NodeId excludeFace) const {
+  std::vector<std::uint64_t> prefixHashes;
+  for (const Name& cd : cds) appendPrefixHashes(cd, prefixHashes);
   std::vector<NodeId> out;
-  for (const auto& [face, entry] : table_) {
-    if (face == excludeFace) continue;
-    if (faceMatches(entry, cds)) out.push_back(face);
-  }
+  matchFacesHashedInto(cds, prefixHashes,
+                       foldHashes(prefixHashes.data(), prefixHashes.size()), excludeFace, out);
   return out;
-}
-
-std::vector<NodeId> SubscriptionTable::matchFacesHashed(
-    const std::vector<Name>& cds, const std::vector<std::uint64_t>& prefixHashes,
-    NodeId excludeFace) const {
-  std::vector<NodeId> out;
-  matchFacesHashedInto(cds, prefixHashes, excludeFace, out);
-  return out;
-}
-
-GCOPSS_HOT void SubscriptionTable::matchFacesScalarInto(const std::vector<Name>& cds,
-                                             const std::vector<std::uint64_t>& prefixHashes,
-                                             NodeId excludeFace, std::vector<NodeId>& out) const {
-  out.clear();
-  for (const auto& [face, entry] : table_) {
-    if (face == excludeFace) continue;
-    if (faceMatchesHashed(entry, cds, prefixHashes)) out.push_back(face);
-  }
-}
-
-GCOPSS_HOT void SubscriptionTable::matchFacesHashedInto(const std::vector<Name>& cds,
-                                             const std::vector<std::uint64_t>& prefixHashes,
-                                             NodeId excludeFace, std::vector<NodeId>& out) const {
-  if (!batchedActive()) {
-    matchFacesScalarInto(cds, prefixHashes, excludeFace, out);
-    return;
-  }
-  matchFacesHashedInto(cds, prefixHashes, foldHashes(prefixHashes.data(), prefixHashes.size()),
-                       excludeFace, out);
 }
 
 GCOPSS_HOT void SubscriptionTable::matchFacesHashedInto(const std::vector<Name>& cds,
                                              const std::vector<std::uint64_t>& prefixHashes,
                                              std::uint64_t matchKey, NodeId excludeFace,
                                              std::vector<NodeId>& out) const {
-  if (!batchedActive()) {
-    matchFacesScalarInto(cds, prefixHashes, excludeFace, out);
-    return;
-  }
   out.clear();
   if (table_.empty()) return;
   // Per-tick cache: publications fanning out through one hop within a tick
   // overwhelmingly carry the same CD set (same region/zone), so the whole
   // match — face list plus false-positive accounting — is replayed from the
-  // line. Bypassed while any face has prunes: those faces match on exact
-  // Names, and the line is keyed by hashes alone.
-  CacheLine* line = nullptr;
-  if (!cache_.empty() && prunedFaces_ == 0) {
-    const std::uint64_t tag =
-        mix64(matchKey ^ (0xda942042e4dd58b5ULL + static_cast<std::uint64_t>(excludeFace)));
-    line = &cache_[tag & (cache_.size() - 1)];
-    if (line->key == tag && line->version == version_) {
-      ++cacheHits_;
-      bloomFalsePositives_ += line->fpHits;
-      if (line->count <= CacheLine::kInlineFaces) {
-        out.insert(out.end(), line->faces, line->faces + line->count);
-      } else {
-        out.insert(out.end(), line->overflow.begin(), line->overflow.end());
-      }
-      return;
+  // line. Any mutation, prunes included, bumps version_ and retires it.
+  const std::uint64_t tag =
+      mix64(matchKey ^ (0xda942042e4dd58b5ULL + static_cast<std::uint64_t>(excludeFace)));
+  CacheLine& line = cache_[tag & (kCacheLines - 1)];
+  if (line.key == tag && line.version == version_) {
+    ++cacheHits_;
+    bloomFalsePositives_ += line.fpHits;
+    if (line.count <= CacheLine::kInlineFaces) {
+      out.insert(out.end(), line.faces, line.faces + line.count);
+    } else {
+      out.insert(out.end(), line.overflow.begin(), line.overflow.end());
     }
-    line->key = tag;
+    return;
   }
   ++cacheMisses_;
   const std::uint64_t fpBefore = bloomFalsePositives_;
   sweepMatchInto(cds, prefixHashes, excludeFace, out);
-  if (line != nullptr) {
-    line->version = version_;
-    line->fpHits = static_cast<std::uint32_t>(bloomFalsePositives_ - fpBefore);
-    line->count = static_cast<std::uint32_t>(out.size());
-    if (out.size() <= CacheLine::kInlineFaces) {
-      std::copy(out.begin(), out.end(), line->faces);
-    } else {
-      line->overflow.assign(out.begin(), out.end());
-    }
+  line.key = tag;
+  line.version = version_;
+  line.fpHits = static_cast<std::uint32_t>(bloomFalsePositives_ - fpBefore);
+  line.count = static_cast<std::uint32_t>(out.size());
+  if (out.size() <= CacheLine::kInlineFaces) {
+    std::copy(out.begin(), out.end(), line.faces);
+  } else {
+    line.overflow.assign(out.begin(), out.end());
   }
 }
 
@@ -288,12 +218,36 @@ GCOPSS_HOT void SubscriptionTable::sweepMatchInto(const std::vector<Name>& cds,
                                        NodeId excludeFace, std::vector<NodeId>& out) const {
   const std::size_t W = planeWords_;
   for (std::size_t w = 0; w < W; ++w) sweepMatched_[w] = 0;
-  std::uint32_t exSlot = kNoSlot;
+  // The arrival face is never evaluated: count it as matched up front.
   if (excludeFace != kInvalidNode) {
     const auto it = table_.find(excludeFace);
-    if (it != table_.end()) exSlot = it->second.slot;
+    if (it != table_.end()) sweepMatched_[it->second.slot / 64] |= 1ull << (it->second.slot % 64);
   }
-  for (std::uint64_t h : prefixHashes) {
+  // Prunes: per carried CD, the faces that pruned exactly that CD skip its
+  // whole run of prefix hashes. A CD's own hash ends its run, so no Name is
+  // hashed here (packet Names are shared across shards).
+  const bool prunes = prunedFaces_ > 0;
+  if (prunes) {
+    sweepPruned_.assign(cds.size() * W, 0);
+    std::size_t runEnd = 0;
+    for (std::size_t i = 0; i < cds.size(); ++i) {
+      runEnd += cds[i].size() + 1;
+      const std::uint64_t cdHash = prefixHashes[runEnd - 1];
+      for (std::size_t w = 0; w < W; ++w) {
+        for (std::uint64_t bits = prunedMask_[w]; bits != 0; bits &= bits - 1) {
+          const FaceEntry* e = slotEntry_[w * 64 + static_cast<unsigned>(__builtin_ctzll(bits))];
+          for (const Name& p : e->pruned) {
+            if (p.hash() == cdHash) sweepPruned_[i * W + w] |= bits & (~bits + 1);
+          }
+        }
+      }
+    }
+  }
+  std::size_t cd = 0;  // carried CD whose run holds hash j (tracked with prunes)
+  std::size_t runEnd = prunes && !cds.empty() ? cds[0].size() + 1 : prefixHashes.size();
+  for (std::size_t j = 0; j < prefixHashes.size(); ++j) {
+    if (j == runEnd) runEnd += cds[++cd].size() + 1;
+    const std::uint64_t h = prefixHashes[j];
     // AND the k plane rows for this hash: a face's bit survives iff all of
     // its counters at the probe positions are non-zero — exactly
     // possiblyContains(h) for every face at once, one word per 64 faces.
@@ -311,43 +265,37 @@ GCOPSS_HOT void SubscriptionTable::sweepMatchInto(const std::vector<Name>& cds,
     });
     if (!candidates) continue;
     for (std::size_t w = 0; w < W; ++w) {
-      // A face is accounted at its first matching hash, like the scalar
-      // probe loop's early return; pruned faces take the exact-Name path
-      // below and the arrival face is never evaluated at all.
-      std::uint64_t newly = sweepHit_[w] & ~sweepMatched_[w] & ~prunedMask_[w];
-      if (exSlot != kNoSlot && exSlot / 64 == w) newly &= ~(1ull << (exSlot % 64));
-      sweepMatched_[w] |= newly;
-      while (newly != 0) {
-        const unsigned b = static_cast<unsigned>(__builtin_ctzll(newly));
-        newly &= newly - 1;
-        const std::uint32_t s = static_cast<std::uint32_t>(w * 64 + b);
-        if (!slotEntry_[s]->exactHashes.contains(h)) ++bloomFalsePositives_;
+      // A face is decided at its first passing hash, in prefix order.
+      std::uint64_t newly = sweepHit_[w] & ~sweepMatched_[w];
+      if (prunes) newly &= ~sweepPruned_[cd * W + w];
+      for (std::uint64_t bits = newly; bits != 0; bits &= bits - 1) {
+        const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+        if (slotEntry_[w * 64 + b]->holds(h)) continue;
+        // Bloom mode: the face matches anyway, a false positive. Exact mode:
+        // it does not match at this level.
+        if (opts_.useBloom) {
+          ++bloomFalsePositives_;
+        } else {
+          newly &= ~(1ull << b);
+        }
       }
+      sweepMatched_[w] |= newly;
     }
   }
-  // Emit in table_ (ascending face) order — the scalar path's output order.
+  // Emit in table_ (ascending face) order.
   for (const auto& [face, e] : table_) {
-    if (face == excludeFace) continue;
-    if (!e.pruned.empty()) {
-      if (faceMatches(e, cds)) out.push_back(face);
-      continue;
+    if (face != excludeFace && (sweepMatched_[e.slot / 64] & (1ull << (e.slot % 64)))) {
+      out.push_back(face);
     }
-    if (sweepMatched_[e.slot / 64] & (1ull << (e.slot % 64))) out.push_back(face);
   }
-}
-
-bool SubscriptionTable::anyMatch(const std::vector<Name>& cds, NodeId excludeFace) const {
-  for (const auto& [face, entry] : table_) {
-    if (face == excludeFace) continue;
-    if (faceMatches(entry, cds)) return true;
-  }
-  return false;
 }
 
 bool SubscriptionTable::hasIntersectingSubscription(const Name& cd) const {
-  for (const auto& [sub, count] : globalRefcount_) {
-    (void)count;
-    if (sub.isPrefixOf(cd) || cd.isPrefixOf(sub)) return true;
+  for (const auto& [face, e] : table_) {
+    (void)face;
+    for (const Sub& s : e.subs) {
+      if (s.cd.isPrefixOf(cd) || cd.isPrefixOf(s.cd)) return true;
+    }
   }
   return false;
 }
@@ -355,20 +303,20 @@ bool SubscriptionTable::hasIntersectingSubscription(const Name& cd) const {
 void SubscriptionTable::prune(NodeId face, const Name& cd) {
   const auto it = table_.find(face);
   if (it == table_.end()) return;
-  it->second.pruned.insert(cd);
-  if (batchedActive()) {
-    updatePrunedBit(it->second);
-    bumpVersion();
+  FaceEntry& e = it->second;
+  if (std::find(e.pruned.begin(), e.pruned.end(), cd) == e.pruned.end()) {
+    e.pruned.push_back(cd);
+    (void)e.pruned.back().hash();  // cache it for the sweep
   }
+  updatePrunedBit(e);
+  bumpVersion();
 }
 
 bool SubscriptionTable::isPruned(NodeId face, const Name& cd) const {
   const auto it = table_.find(face);
-  return it != table_.end() && it->second.pruned.count(cd) > 0;
-}
-
-std::vector<NodeId> SubscriptionTable::facesMatching(const Name& cd) const {
-  return matchFaces({cd});
+  if (it == table_.end()) return false;
+  const auto& pruned = it->second.pruned;
+  return std::find(pruned.begin(), pruned.end(), cd) != pruned.end();
 }
 
 std::vector<NodeId> SubscriptionTable::faces() const {
@@ -385,30 +333,22 @@ std::vector<Name> SubscriptionTable::cdsOnFace(NodeId face) const {
   std::vector<Name> out;
   const auto it = table_.find(face);
   if (it == table_.end()) return out;
-  out.reserve(it->second.exact.size());
-  for (const auto& [cd, count] : it->second.exact) {
-    (void)count;
-    out.push_back(cd);
-  }
+  out.reserve(it->second.subs.size());
+  for (const Sub& s : it->second.subs) out.push_back(s.cd);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 bool SubscriptionTable::faceSubscribed(NodeId face, const Name& cd) const {
   const auto it = table_.find(face);
-  return it != table_.end() && it->second.exact.count(cd) > 0;
+  return it != table_.end() && it->second.indexOf(cd, cd.hash()) != it->second.subs.size();
 }
 
 bool SubscriptionTable::bloomMightContain(NodeId face, const Name& cd) const {
   const auto it = table_.find(face);
   if (it == table_.end()) return false;
-  if (!opts_.useBloom) return it->second.exact.count(cd) > 0;
+  if (!opts_.useBloom) return it->second.indexOf(cd, cd.hash()) != it->second.subs.size();
   return it->second.bloom.possiblyContains(cd);
-}
-
-std::vector<Name> SubscriptionTable::prunedOnFace(NodeId face) const {
-  const auto it = table_.find(face);
-  if (it == table_.end()) return {};
-  return {it->second.pruned.begin(), it->second.pruned.end()};
 }
 
 double SubscriptionTable::predictedFalsePositiveRate(NodeId face) const {
@@ -421,17 +361,15 @@ void SubscriptionTable::corruptBloomForAudit(NodeId face, const Name& cd) {
   const auto it = table_.find(face);
   if (it == table_.end()) return;
   it->second.bloom.remove(cd);
-  if (batchedActive()) {
-    syncPlanes(it->second, cd.hash());
-    bumpVersion();
-  }
+  syncPlanes(it->second, cd.hash());
+  bumpVersion();
 }
 
 std::size_t SubscriptionTable::entryCount() const {
   std::size_t n = 0;
   for (const auto& [face, entry] : table_) {
     (void)face;
-    n += entry.exact.size();
+    n += entry.subs.size();
   }
   return n;
 }

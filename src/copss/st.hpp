@@ -2,45 +2,34 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bloom.hpp"
-#include "common/hash_refcount.hpp"
 #include "common/name.hpp"
 #include "net/packet.hpp"
 
 namespace gcopss::copss {
 
-// Subscription Table: <Face, BloomFilter<CD>> plus an exact refcounted CD map
-// per face. The Bloom filter is the paper's data-path structure (checked for
-// every prefix of an incoming CD); the exact map supports Unsubscribe
-// refcounting, upstream aggregation decisions, and an exact-match mode used
-// by the ablation bench to quantify Bloom false-positive leakage.
+// Subscription Table: <Face, BloomFilter<CD>> plus one exact refcounted CD
+// store per face. The Bloom filter is the paper's data-path structure
+// (checked for every prefix of an incoming CD); the exact store supports
+// Unsubscribe refcounting, upstream aggregation decisions, false-positive
+// accounting, and an exact-match mode used by the ablation bench to quantify
+// Bloom false-positive leakage.
 //
-// Two data-plane match implementations coexist (DESIGN.md §4e):
-//  - scalar: per-face hashed Bloom probes, the oracle;
-//  - batched (`Options::batchedMatch`): a transposed bit-plane index — for
-//    every Bloom counter index, a word holding one bit per face, set iff
-//    that face's counter is non-zero — swept word-parallel per prefix hash,
-//    fronted by a version-invalidated per-tick match cache keyed by the
-//    publication's folded prefix hashes. Match sets, output order and the
-//    bloomFalsePositives counter are byte-identical to scalar by contract
-//    (tests/test_batched_match.cpp).
+// One match path (DESIGN.md §4e): a transposed bit-plane index — for every
+// Bloom counter index, a word holding one bit per face, set iff that face's
+// counter is non-zero — swept word-parallel per prefix hash, fronted by a
+// version-invalidated per-tick match cache keyed by the publication's folded
+// prefix hashes. Migration prunes and exact mode are verdicts inside the same
+// sweep. Match sets, output order (ascending face) and bloomFalsePositives
+// are pinned against the scalar reference model in tests/st_oracle.hpp.
 class SubscriptionTable {
  public:
   struct Options {
     bool useBloom = true;     // false = exact matching (ablation)
     std::size_t bloomBits = 1 << 14;
     unsigned bloomHashes = 7;
-    // Batched data plane: bit-plane sweep + per-tick match cache. false
-    // selects the scalar per-face probes (the equivalence oracle). Only
-    // meaningful with useBloom (the exact-match ablation stays scalar).
-    bool batchedMatch = true;
-    // Direct-mapped match-cache lines (rounded up to a power of two;
-    // 0 disables the cache but keeps the sweep).
-    std::size_t matchCacheSlots = 256;
   };
 
   SubscriptionTable() : SubscriptionTable(Options{}) {}
@@ -54,42 +43,21 @@ class SubscriptionTable {
   bool unsubscribe(NodeId face, const Name& cd);
 
   // Faces that must receive a multicast carrying `cds` — every face whose
-  // filter matches any prefix of any carried CD, minus faces pruned for all
-  // of the carried CDs, excluding `excludeFace` (the arrival face).
-  std::vector<NodeId> matchFaces(const std::vector<Name>& cds,
-                                 NodeId excludeFace = kInvalidNode) const;
-
-  // Fast path used on the data plane: `prefixHashes` are the pre-computed
-  // hashes of every prefix level of every CD (the paper's hash-at-first-hop
-  // optimisation); `cds` is only consulted on faces with active prunes.
-  std::vector<NodeId> matchFacesHashed(const std::vector<Name>& cds,
-                                       const std::vector<std::uint64_t>& prefixHashes,
-                                       NodeId excludeFace = kInvalidNode) const;
-
-  // Allocation-free variant for the per-hop fast path: clears `out` and
-  // fills it with the matching faces, reusing its capacity. Dispatches on
-  // Options::batchedMatch.
-  void matchFacesHashedInto(const std::vector<Name>& cds,
-                            const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
-                            std::vector<NodeId>& out) const;
-
-  // Batch point used by the router's publish fan-out: `matchKey` is the
-  // packet's precomputed foldPrefixHashes() value, so a cache hit costs one
-  // mix and one probe instead of re-hashing the CD set at every hop.
+  // filter matches any prefix of any carried CD not pruned on that face —
+  // excluding `excludeFace` (the arrival face), in ascending face order.
+  // `prefixHashes` are the pre-computed hashes of every prefix level of every
+  // CD (MulticastPacket's hash-at-first-hop); `matchKey` is their fold, the
+  // cache key, so a cache hit costs one mix and one probe. Clears `out` and
+  // fills it, reusing its capacity. `cds` is read for its run lengths only.
   void matchFacesHashedInto(const std::vector<Name>& cds,
                             const std::vector<std::uint64_t>& prefixHashes,
                             std::uint64_t matchKey, NodeId excludeFace,
                             std::vector<NodeId>& out) const;
 
-  // The scalar oracle, always per-face probes regardless of the knob.
-  // Public so the equivalence suite can pit it against the batched path on
-  // the same table instance.
-  void matchFacesScalarInto(const std::vector<Name>& cds,
-                            const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
-                            std::vector<NodeId>& out) const;
-
-  // True if any face (excluding `excludeFace`) would match `cds`.
-  bool anyMatch(const std::vector<Name>& cds, NodeId excludeFace = kInvalidNode) const;
+  // The same match for control-plane callers holding only Names: hashes them
+  // the way MulticastPacket does and runs matchFacesHashedInto.
+  std::vector<NodeId> matchFaces(const std::vector<Name>& cds,
+                                 NodeId excludeFace = kInvalidNode) const;
 
   // Does this table hold a subscription (on any face) whose CD intersects
   // `cd` (is a prefix of it or has it as a prefix)? Used by the migration
@@ -103,12 +71,9 @@ class SubscriptionTable {
   void prune(NodeId face, const Name& cd);
   bool isPruned(NodeId face, const Name& cd) const;
 
-  // All faces with at least one live (non-pruned, for `cd`) matching entry.
-  std::vector<NodeId> facesMatching(const Name& cd) const;
-
   std::vector<NodeId> faces() const;
   std::size_t faceCount() const { return table_.size(); }
-  // Distinct CDs subscribed on `face` (exact granularity).
+  // Distinct CDs subscribed on `face` (exact granularity), in Name order.
   std::vector<Name> cdsOnFace(NodeId face) const;
   bool faceSubscribed(NodeId face, const Name& cd) const;
 
@@ -117,33 +82,31 @@ class SubscriptionTable {
 
   std::uint64_t bloomFalsePositives() const { return bloomFalsePositives_; }
 
-  // Batched-path introspection (bench/tests): per-tick cache effectiveness.
+  // Per-tick cache effectiveness (bench/tests).
   std::uint64_t matchCacheHits() const { return cacheHits_; }
   std::uint64_t matchCacheMisses() const { return cacheMisses_; }
-  bool batchedActive() const { return opts_.useBloom && opts_.batchedMatch; }
 
   const Options& options() const { return opts_; }
 
   // --- audit interface (src/check invariant checker) ---
   // Soundness probe: would `face`'s Bloom filter pass `cd`? Every live exact
   // subscription MUST probe true, or the data plane silently starves that
-  // face. False for an unknown face.
+  // face. In exact mode, whether the face holds `cd`. False for an unknown
+  // face.
   bool bloomMightContain(NodeId face, const Name& cd) const;
-  // Exact CDs pruned on `face` (migration leftovers the auditor checks).
-  std::vector<Name> prunedOnFace(NodeId face) const;
   // Predicted false-positive rate of `face`'s filter at its current fill
   // (0.0 for an unknown face) — the drift baseline the auditor measures
   // observed false positives against.
   double predictedFalsePositiveRate(NodeId face) const;
 
-  // TEST-ONLY: desynchronise `face`'s Bloom filter from its exact map by
+  // TEST-ONLY: desynchronise `face`'s Bloom filter from its exact store by
   // removing `cd` from the filter while the exact entry stays live — the
   // corruption the ST-soundness invariant exists to catch. Never call this
   // outside a negative test of the invariant checker. The bit-plane mirror
   // follows the corruption, as it would any counter transition.
   void corruptBloomForAudit(NodeId face, const Name& cd);
 
-  // The batched index holds raw pointers into `table_` map nodes (stable
+  // The plane index holds raw pointers into `table_` map nodes (stable
   // under std::map moves, not under copies).
   SubscriptionTable(const SubscriptionTable&) = delete;
   SubscriptionTable& operator=(const SubscriptionTable&) = delete;
@@ -151,24 +114,36 @@ class SubscriptionTable {
   SubscriptionTable& operator=(SubscriptionTable&&) = default;
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::size_t kCacheLines = 256;  // direct-mapped, power of two
+
+  // One CD subscribed on a face: its hash (the data plane's key), its Name
+  // (the control plane's) and the number of subscriptions holding it.
+  struct Sub {
+    std::uint64_t hash;
+    Name cd;
+    std::uint32_t refs;
+  };
 
   struct FaceEntry {
     CountingBloomFilter bloom;
-    std::map<Name, std::uint32_t> exact;  // cd -> refcount
-    HashRefcountMap exactHashes;  // hash -> refcount
-    std::set<Name> pruned;
-    std::uint32_t slot = kNoSlot;  // column in the bit-plane index
+    std::vector<Sub> subs;     // sorted by hash; a face holds a few dozen CDs
+    std::vector<Name> pruned;  // exact CDs migration stopped on this face
+    std::uint32_t slot = 0;    // column in the bit-plane index (attachSlot)
 
     FaceEntry(std::size_t bits, unsigned k) : bloom(bits, k) {}
+
+    // First Sub whose hash is not below `h`.
+    std::vector<Sub>::const_iterator lowerBound(std::uint64_t h) const;
+    bool holds(std::uint64_t h) const;
+    // Index of the Sub for exactly `cd` (hash `h`); subs.size() if absent.
+    std::size_t indexOf(const Name& cd, std::uint64_t h) const;
   };
 
-  bool faceMatches(const FaceEntry& e, const std::vector<Name>& cds) const;
-  bool faceMatchesHashed(const FaceEntry& e, const std::vector<Name>& cds,
-                         const std::vector<std::uint64_t>& prefixHashes) const;
+  // Does any face other than `face` subscribe to `cd`?
+  bool heldElsewhere(NodeId face, const Name& cd, std::uint64_t h) const;
 
-  // --- batched index maintenance (all control-plane / cold) ---
-  void attachSlot(NodeId face, FaceEntry& e);
+  // --- plane index maintenance (all control-plane / cold) ---
+  void attachSlot(FaceEntry& e);
   void releaseSlot(FaceEntry& e);
   void rebuildPlanes();
   // Re-derive the plane bits for `e`'s column at every probe position of
@@ -178,17 +153,16 @@ class SubscriptionTable {
   void updatePrunedBit(const FaceEntry& e);
   void bumpVersion() { ++version_; }
 
-  // The word-parallel sweep (batched path, cache miss).
+  // The word-parallel sweep (cache miss).
   void sweepMatchInto(const std::vector<Name>& cds,
                       const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
                       std::vector<NodeId>& out) const;
 
   Options opts_;
   std::map<NodeId, FaceEntry> table_;  // ordered for deterministic iteration
-  std::map<Name, std::uint32_t> globalRefcount_;  // cd -> #faces subscribed
   mutable std::uint64_t bloomFalsePositives_ = 0;
 
-  // --- transposed bit-plane index (batchedMatch) ---
+  // --- transposed bit-plane index ---
   BloomProbeSchedule probes_;          // same geometry as every face filter
   std::size_t planeWords_ = 0;         // 64-face words per counter row
   std::vector<std::uint64_t> planes_;  // bloomBits rows x planeWords_ words
@@ -218,6 +192,7 @@ class SubscriptionTable {
   // Sweep scratch, capacity-recycled across calls.
   mutable std::vector<std::uint64_t> sweepHit_;
   mutable std::vector<std::uint64_t> sweepMatched_;
+  mutable std::vector<std::uint64_t> sweepPruned_;  // per carried CD: faces skipping it
 };
 
 }  // namespace gcopss::copss

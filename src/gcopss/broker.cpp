@@ -85,7 +85,7 @@ void SnapshotBroker::emitCyclic(const Name& leafCd) {
   CycleState& st = cycles_[leafCd];
   const Name group = snapGroupCd(leafCd);
   // "stops on receiving the last Unsubscribe": no subscriber left -> halt.
-  if (this->st().facesMatching(group).empty()) {
+  if (this->st().matchFaces({group}).empty()) {
     st.running = false;
     return;
   }

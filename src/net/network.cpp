@@ -249,11 +249,6 @@ QueueAggregate Network::queueAggregate() const {
 }
 
 void Network::enableParallel(ParallelSimulator& psim) {
-  // Packet refcounts cross shard boundaries the moment a multicast fans out,
-  // so a serial-refcount build must not reach this engine (satellite 4).
-  static_assert(PacketThreading::kAtomicRefCount,
-                "Network::enableParallel requires atomic Packet refcounts; "
-                "rebuild without GCOPSS_SERIAL_REFCOUNT for --threads > 1");
   assert(&psim.globalLane() == &sim_ &&
          "psim's global lane must be this network's Simulator");
   assert(!observer_ && "packet observers are serial-only");

@@ -14,38 +14,18 @@ namespace gcopss {
 using NodeId = std::int32_t;
 constexpr NodeId kInvalidNode = -1;
 
-// Refcount threading policy. The parallel DES engine hands packet refcounts
-// to multiple threads — a multicast fan-out retains on the sender's shard and
-// the last reference can die on a receiver's shard — so the count is atomic
-// by default (relaxed increments, acq/rel decrement: uncontended it is a
-// plain locked add, ~1ns, invisible next to a CalendarQueue push).
-//
-// Builds that want the PR-3 serial fast path back can define
-// GCOPSS_SERIAL_REFCOUNT, which swaps in a plain uint32 — and flips
-// PacketThreading::kAtomicRefCount to false, which makes every entry point
-// into the parallel engine (Network::enableParallel, ParallelSimulator
-// users) a static_assert failure. Misuse is a compile error, not a TSan
-// finding. See docs/ARCHITECTURE.md "Threading model".
-struct PacketThreading {
-#ifdef GCOPSS_SERIAL_REFCOUNT
-  static constexpr bool kAtomicRefCount = false;
-  using RefCount = std::uint32_t;
-#else
-  static constexpr bool kAtomicRefCount = true;
-  using RefCount = std::atomic<std::uint32_t>;
-#endif
-};
-
 // Base class for every packet in the simulation. A single Kind enum spans all
 // protocol families (NDN, COPSS, IP baseline) so routers can branch on kind
 // without RTTI; `packet_cast` checks the kind before downcasting.
 //
 // Packets are intrusively reference-counted (see RefPtr below): multicast
 // fan-out hands the same immutable payload to every face as a pointer bump
-// with no control-block allocation. The count's threading policy lives in
-// PacketThreading above (atomic unless GCOPSS_SERIAL_REFCOUNT). The count
-// lives in the object, so a packet must reach a RefPtr straight from `new`
-// (makePacket/makeMutablePacket do this).
+// with no control-block allocation. The count is atomic because the parallel
+// DES engine hands references to several threads: a multicast fan-out retains
+// on the sender's shard and the last reference can die on a receiver's shard
+// (relaxed increments, acq/rel decrement — uncontended, a plain locked add).
+// The count lives in the object, so a packet must reach a RefPtr straight
+// from `new` (makePacket/makeMutablePacket do this).
 struct Packet {
   enum class Kind : std::uint8_t {
     // NDN engine
@@ -96,12 +76,11 @@ struct Packet {
   template <typename T>
   friend class RefPtr;
 
-  mutable PacketThreading::RefCount refs_{0};
+  mutable std::atomic<std::uint32_t> refs_{0};
 };
 
 // Intrusive smart pointer for Packet hierarchies. shared_ptr-shaped API for
-// the subset the codebase uses; copying is one refcount increment (atomic or
-// plain per PacketThreading).
+// the subset the codebase uses; copying is one atomic refcount increment.
 template <typename T>
 class RefPtr {
  public:
@@ -157,24 +136,16 @@ class RefPtr {
  private:
   void retain() {
     if (!p_) return;
-    if constexpr (PacketThreading::kAtomicRefCount) {
-      // A retain always starts from an existing reference, so relaxed order
-      // suffices — visibility of the object is carried by whatever handed
-      // the pointer across threads (the round barrier, in the parallel DES).
-      p_->refs_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++p_->refs_;
-    }
+    // A retain always starts from an existing reference, so relaxed order
+    // suffices — visibility of the object is carried by whatever handed the
+    // pointer across threads (the round barrier, in the parallel DES).
+    p_->refs_.fetch_add(1, std::memory_order_relaxed);
   }
   void releaseRef() {
     if (!p_) return;
-    if constexpr (PacketThreading::kAtomicRefCount) {
-      // acq_rel: the final decrement must observe every other shard's writes
-      // (release) before the delete runs here (acquire).
-      if (p_->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete p_;
-    } else {
-      if (--p_->refs_ == 0) delete p_;
-    }
+    // acq_rel: the final decrement must observe every other shard's writes
+    // (release) before the delete runs here (acquire).
+    if (p_->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete p_;
   }
 
   T* p_ = nullptr;

@@ -135,12 +135,18 @@ TEST(Objects, SnapshotBytesSumsChangedOnly) {
 
 // ---------------- Movement classification (Table III) ----------------
 
+// `name` is what GoogleTest prints for the case, and so what CTest names the
+// test. Without PrintTo it would print a byte dump of the struct, whose string
+// pointers change from run to run.
 struct MoveCase {
+  const char* name;
   const char* from;
   const char* to;
   MoveType type;
   std::size_t downloads;
 };
+
+void PrintTo(const MoveCase& c, std::ostream* os) { *os << c.name; }
 
 class MoveClassification : public ::testing::TestWithParam<MoveCase> {};
 
@@ -157,13 +163,16 @@ TEST_P(MoveClassification, MatchesTableIII) {
 INSTANTIATE_TEST_SUITE_P(
     TableIII, MoveClassification,
     ::testing::Values(
-        MoveCase{"/1", "/1/1", MoveType::ToLowerLayer, 0},      // plane landing
-        MoveCase{"/", "/1", MoveType::ToLowerLayer, 0},         // satellite descends
-        MoveCase{"/1/1", "/1", MoveType::ZoneToRegion, 4},      // take-off: /1/2../1/5
-        MoveCase{"/1", "/", MoveType::RegionToWorld, 24},       // satellite launch
-        MoveCase{"/1/1", "/1/2", MoveType::ZoneSameRegion, 1},
-        MoveCase{"/2/3", "/3/2", MoveType::ZoneDiffRegion, 2},  // /3/_ and /3/2
-        MoveCase{"/1", "/2", MoveType::RegionToRegion, 6}));    // /2/_ + 5 zones
+        MoveCase{"PlaneLanding", "/1", "/1/1", MoveType::ToLowerLayer, 0},
+        MoveCase{"SatelliteDescends", "/", "/1", MoveType::ToLowerLayer, 0},
+        // take-off: /1/2../1/5
+        MoveCase{"TakeOff", "/1/1", "/1", MoveType::ZoneToRegion, 4},
+        MoveCase{"SatelliteLaunch", "/1", "/", MoveType::RegionToWorld, 24},
+        MoveCase{"ZoneSameRegion", "/1/1", "/1/2", MoveType::ZoneSameRegion, 1},
+        // /3/_ and /3/2
+        MoveCase{"ZoneDiffRegion", "/2/3", "/3/2", MoveType::ZoneDiffRegion, 2},
+        // /2/_ + 5 zones
+        MoveCase{"RegionToRegion", "/1", "/2", MoveType::RegionToRegion, 6}));
 
 TEST(Movement, RandomMoveRespectsProbabilities) {
   GameMap map({5, 5});

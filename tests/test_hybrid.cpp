@@ -115,7 +115,7 @@ TEST(Hybrid, EdgeJoinsGroupOnFirstHostSubscriptionOnly) {
   // The group RP's ST has exactly one downstream face for /1's group.
   auto& rp = dynamic_cast<copss::CopssRouter&>(w.net->node(w.routerIds[1]));
   const Name group = w.e0->groupFor(Name::parse("/1"));
-  EXPECT_EQ(rp.st().facesMatching(group).size(), 1u);
+  EXPECT_EQ(rp.st().matchFaces({group}).size(), 1u);
 }
 
 TEST(Hybrid, RootSubscriberJoinsEveryGroup) {

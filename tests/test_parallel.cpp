@@ -116,6 +116,46 @@ struct TraceDigest {
   }
 };
 
+constexpr std::uint64_t kDigestSeed = 0x9e3779b97f4a7c15ULL;
+
+// The sharded engine for `w` (threads == 0: none, the serial engine runs).
+// Observers are serial-only, so the world's checker goes first.
+std::unique_ptr<ParallelSimulator> shardedEngine(LineWorld& w, std::size_t threads) {
+  if (threads == 0) return nullptr;
+  w.checker.reset();
+  ParallelSimulator::Options po;
+  po.workers = threads;
+  po.lookahead = w.topo->minLinkDelay();
+  return std::make_unique<ParallelSimulator>(*w.sim, po);
+}
+
+// Folds every delivery's (seq, time) into its client's slot of `d`.
+void foldDeliveries(LineWorld& w, TraceDigest& d) {
+  d.perClient.assign(w.clients.size(), kDigestSeed);
+  for (std::size_t i = 0; i < w.clients.size(); ++i) {
+    std::uint64_t* h = &d.perClient[i];
+    w.clients[i]->setMulticastCallback(
+        [h](const copss::MulticastPacket& m, SimTime now) {
+          *h = mix64(*h ^ m.seq);
+          *h = mix64(*h ^ static_cast<std::uint64_t>(now));
+        });
+  }
+}
+
+// Runs `w` to completion on its engine and records the run's totals in `d`.
+void runAndSeal(LineWorld& w, ParallelSimulator* psim, TraceDigest& d) {
+  if (psim) {
+    psim->run();
+    d.events = psim->totalEventsExecuted();
+  } else {
+    w.sim->run();
+    d.events = w.sim->totalEventsExecuted();
+  }
+  for (std::uint64_t h : d.perClient) d.deliveries += (h != kDigestSeed);
+  d.drops = w.net->totalDrops();
+  d.linkPackets = w.net->totalLinkPackets();
+}
+
 // One fixed workload over the 6-router ring: root + /1 subscribers, 60
 // publishes from client 1. `threads == 0` = serial engine. With `chaos`,
 // a loss/jitter/reorder plan (independent per-link streams) plus an RP
@@ -123,15 +163,7 @@ struct TraceDigest {
 TraceDigest runWorld(std::size_t threads, bool chaos, std::uint64_t seed = 42) {
   LineWorld w(6, {}, SimParams::largeScale(), /*ring=*/true);
   w.singleRootRp(2);
-
-  std::unique_ptr<ParallelSimulator> psim;
-  if (threads > 0) {
-    w.checker.reset();  // observers are serial-only
-    ParallelSimulator::Options po;
-    po.workers = threads;
-    po.lookahead = w.topo->minLinkDelay();
-    psim = std::make_unique<ParallelSimulator>(*w.sim, po);
-  }
+  std::unique_ptr<ParallelSimulator> psim = shardedEngine(w, threads);
 
   if (chaos) {
     FaultPlan plan;
@@ -147,15 +179,7 @@ TraceDigest runWorld(std::size_t threads, bool chaos, std::uint64_t seed = 42) {
   if (psim) w.net->enableParallel(*psim);
 
   TraceDigest d;
-  d.perClient.assign(w.clients.size(), 0x9e3779b97f4a7c15ULL);
-  for (std::size_t i = 0; i < w.clients.size(); ++i) {
-    std::uint64_t* h = &d.perClient[i];
-    w.clients[i]->setMulticastCallback(
-        [h](const copss::MulticastPacket& m, SimTime now) {
-          *h = mix64(*h ^ m.seq);
-          *h = mix64(*h ^ static_cast<std::uint64_t>(now));
-        });
-  }
+  foldDeliveries(w, d);
 
   if (chaos) {
     gc::GCopssClient::ReliableOptions opts;
@@ -188,18 +212,7 @@ TraceDigest runWorld(std::size_t threads, bool chaos, std::uint64_t seed = 42) {
     }
   }
 
-  if (psim) {
-    psim->run();
-    d.events = psim->totalEventsExecuted();
-  } else {
-    w.sim->run();
-    d.events = w.sim->totalEventsExecuted();
-  }
-  std::uint64_t delivered = 0;
-  for (std::uint64_t h : d.perClient) delivered += (h != 0x9e3779b97f4a7c15ULL);
-  d.deliveries = delivered;
-  d.drops = w.net->totalDrops();
-  d.linkPackets = w.net->totalLinkPackets();
+  runAndSeal(w, psim.get(), d);
   return d;
 }
 
@@ -236,13 +249,91 @@ TEST(ParallelDeterminism, DifferentSeedsDiverge) {
   EXPECT_FALSE(a == b) << "the seed must steer the per-link fault lanes";
 }
 
+// autoBalance on the parallel engine. Routers 1 and 4 of the 6-ring are RPs
+// for /a and /b; their neighbours' clients (0 and 5, mirror images) overload
+// them with the same stream at the same instants, so both split at the same
+// simulated time — in one round, on different shards (node id % workers: 1
+// vs 0 at 2 and at 4 workers). Each split mints a migration txn id; those
+// ids come from the router, not from state the two shards would race on.
+struct SplitRun {
+  TraceDigest digest;
+  std::vector<SimTime> firstSplitAt;  // per router; -1 = never split
+  std::vector<std::uint64_t> splits;  // per router
+  std::vector<std::size_t> shard;     // per router
+};
+
+SplitRun runTwoHotRps(std::size_t threads) {
+  copss::CopssRouter::Options opts;
+  opts.autoBalance = true;
+  opts.balance.backlogThreshold = ms(20);
+  opts.balance.windowSize = 64;
+  opts.balance.cooldown = seconds(10);
+  LineWorld w(6, opts, SimParams::largeScale(), /*ring=*/true);
+  copss::RpAssignment a;
+  a.prefixToRp[Name::parse("/a")] = w.routerIds[1];
+  a.prefixToRp[Name::parse("/b")] = w.routerIds[4];
+  w.installAssignment(a);
+  std::unique_ptr<ParallelSimulator> psim = shardedEngine(w, threads);
+  if (psim) w.net->enableParallel(*psim);
+
+  SplitRun r;
+  r.firstSplitAt.assign(w.routers.size(), -1);
+  r.splits.assign(w.routers.size(), 0);
+  for (std::size_t i = 0; i < w.routers.size(); ++i) {
+    r.shard.push_back(w.net->shardOf(w.routerIds[i]));
+    // Fires on the splitting router's shard: each writes only its own slot.
+    Simulator* sim = &w.net->nodeSim(w.routerIds[i]);
+    SimTime* first = &r.firstSplitAt[i];
+    w.routers[i]->onRpSplit = [sim, first](NodeId, const std::vector<Name>&) {
+      if (*first < 0) *first = sim->now();
+    };
+  }
+  foldDeliveries(w, r.digest);
+
+  w.sim->scheduleAt(0, [&w]() {
+    for (std::size_t i : {1u, 2u, 3u, 4u}) w.clients[i]->subscribe(Name());
+  });
+  // 1 ms apart against the RP's 3.3 ms service time: the backlog crosses
+  // the 20 ms threshold after ~9 publications.
+  for (std::uint64_t s = 0; s < 120; ++s) {
+    const SimTime at = ms(20) + ms(1) * static_cast<SimTime>(s);
+    for (const std::size_t c : {0u, 5u}) {
+      const std::uint64_t seq = 2 * s + (c == 0 ? 1 : 2);
+      const Name cd = Name::parse(std::string(c == 0 ? "/a/" : "/b/") + (s % 2 ? "1" : "2"));
+      w.net->nodeSim(w.clientIds[c]).scheduleAt(at, [&w, c, cd, seq]() {
+        w.clients[c]->publish(cd, 15, seq);
+      });
+    }
+  }
+
+  runAndSeal(w, psim.get(), r.digest);
+  for (std::size_t i = 0; i < w.routers.size(); ++i) {
+    r.splits[i] = w.routers[i]->splitsInitiated();
+  }
+  return r;
+}
+
+TEST(ParallelDeterminism, AutoBalanceSplitsIdenticalAcrossThreadCounts) {
+  const SplitRun serial = runTwoHotRps(0);
+  ASSERT_GE(serial.splits[1], 1u) << "RP /a must split";
+  ASSERT_GE(serial.splits[4], 1u) << "RP /b must split";
+  EXPECT_EQ(serial.firstSplitAt[1], serial.firstSplitAt[4])
+      << "both RPs must split at the same instant (one round)";
+  for (std::size_t threads : {2u, 4u}) {
+    const SplitRun par = runTwoHotRps(threads);
+    EXPECT_NE(par.shard[1], par.shard[4]) << "threads=" << threads;
+    EXPECT_EQ(par.digest, serial.digest)
+        << "threads=" << threads << ": per-client delivery traces must match serial";
+    EXPECT_EQ(par.splits, serial.splits) << "threads=" << threads;
+    EXPECT_EQ(par.firstSplitAt, serial.firstSplitAt) << "threads=" << threads;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shared-structure hammers (primarily TSan targets).
 // ---------------------------------------------------------------------------
 
 TEST(ParallelShared, PacketRefCountSurvivesConcurrentRetainRelease) {
-  static_assert(PacketThreading::kAtomicRefCount,
-                "test suite is built with atomic refcounts");
   auto base = makePacket<Packet>(Packet::Kind::Multicast, Bytes{64});
   constexpr int kThreads = 4;
   constexpr int kIters = 20000;

@@ -183,15 +183,16 @@ TEST_P(StAggregation, InteriorSubscriptionCoversExactlyItsSubtree) {
     EXPECT_EQ(coveredExact[0], face);
     EXPECT_TRUE(st.hasIntersectingSubscription(under));
 
-    // The hashed data path (what routers actually run) agrees.
+    // The data path on a packet's first-hop hashes (what routers run) agrees.
+    std::vector<NodeId> hashed;
     const copss::MulticastPacket pkt({under}, 15, 0, 1, 99);
-    EXPECT_EQ(st.matchFacesHashed(pkt.cds, pkt.prefixHashes).size(), 1u)
-        << under.toString();
+    st.matchFacesHashedInto(pkt.cds, pkt.prefixHashes, pkt.matchKey, kInvalidNode, hashed);
+    EXPECT_EQ(hashed, coveredExact) << under.toString();
 
     EXPECT_TRUE(st.matchFaces({outside}).empty()) << outside.toString();
     const copss::MulticastPacket out({outside}, 15, 0, 2, 99);
-    EXPECT_TRUE(st.matchFacesHashed(out.cds, out.prefixHashes).empty())
-        << outside.toString();
+    st.matchFacesHashedInto(out.cds, out.prefixHashes, out.matchKey, kInvalidNode, hashed);
+    EXPECT_TRUE(hashed.empty()) << outside.toString();
   }
 
   // Unsubscribing the interior CD uncovers the whole subtree again.

@@ -2,6 +2,7 @@
 
 #include "copss/packets.hpp"
 #include "copss/st.hpp"
+#include "st_oracle.hpp"
 
 namespace gcopss::test {
 namespace {
@@ -11,8 +12,7 @@ using copss::SubscriptionTable;
 
 std::vector<NodeId> match(const SubscriptionTable& st, const char* cd,
                           NodeId exclude = kInvalidNode) {
-  const MulticastPacket pkt({Name::parse(cd)}, 10, 0, 1, 0);
-  return st.matchFacesHashed(pkt.cds, pkt.prefixHashes, exclude);
+  return st.matchFaces({Name::parse(cd)}, exclude);
 }
 
 TEST(SubscriptionTable, PrefixWalkMatchesEveryLevel) {
@@ -103,15 +103,19 @@ TEST(SubscriptionTable, TinyBloomLeaksButNeverMisses) {
 }
 
 TEST(SubscriptionTable, HashedAndTextualPathsAgree) {
+  // The packet's first-hop hashes, the control-plane wrapper's own hashing
+  // of the Names, and the oracle's textual prefix walk must all agree.
   SubscriptionTable st;
   st.subscribe(1, Name::parse("/1"));
   st.subscribe(2, Name::parse("/1/2"));
   st.subscribe(3, Name());
+  st.prune(1, Name::parse("/1/3"));
   for (const char* cd : {"/1/2", "/1/3", "/2/1", "/_"}) {
     const MulticastPacket pkt({Name::parse(cd)}, 10, 0, 1, 0);
-    EXPECT_EQ(st.matchFaces(pkt.cds),
-              st.matchFacesHashed(pkt.cds, pkt.prefixHashes))
-        << cd;
+    std::vector<NodeId> hashed;
+    st.matchFacesHashedInto(pkt.cds, pkt.prefixHashes, pkt.matchKey, kInvalidNode, hashed);
+    EXPECT_EQ(hashed, oracleMatch(st, pkt.cds, kInvalidNode).faces) << cd;
+    EXPECT_EQ(st.matchFaces(pkt.cds), hashed) << cd;
   }
 }
 
