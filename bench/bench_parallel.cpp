@@ -4,10 +4,11 @@
 //
 // One run per engine config: the classic serial Simulator, then the
 // ParallelSimulator at 1, 2 and 4 worker shards. Every run replays the same
-// trace; the deterministic-merge contract says the results must agree, and
-// the harness enforces it — a config whose deliveries or event count drifts
-// from serial fails the bench, so the speedup numbers are certified to be
-// for the *same computation*, not a cheaper approximation.
+// trace, and the harness requires each to reproduce the serial run exactly:
+// deliveries, link packets, events, and the p50/p99/max latency (all three
+// come from the same multiset of delivery samples). A config that drifts
+// fails the bench, so the speedup numbers are certified to be for the
+// *same computation*, not a cheaper approximation.
 //
 // Usage: bench_parallel [--quick] [--out PATH]
 //   --quick  CI-sized run (~10x smaller); same schema, field "mode": "quick"
@@ -111,19 +112,23 @@ int main(int argc, char** argv) {
   const Row& serial = rows[0];
   bool identical = true;
   for (const Row& r : rows) {
-    if (r.summary.deliveries != serial.summary.deliveries ||
-        r.summary.linkPackets != serial.summary.linkPackets ||
-        r.summary.eventsExecuted != serial.summary.eventsExecuted) {
+    const RunSummary& a = r.summary;
+    const RunSummary& b = serial.summary;
+    if (a.deliveries != b.deliveries || a.linkPackets != b.linkPackets ||
+        a.eventsExecuted != b.eventsExecuted || a.p50Ms != b.p50Ms || a.p99Ms != b.p99Ms ||
+        a.maxMs != b.maxMs) {
       identical = false;
       std::fprintf(stderr,
                    "MISMATCH threads=%zu: deliveries %llu vs %llu, linkPackets %llu vs %llu, "
-                   "events %llu vs %llu\n",
-                   r.threads, static_cast<unsigned long long>(r.summary.deliveries),
-                   static_cast<unsigned long long>(serial.summary.deliveries),
-                   static_cast<unsigned long long>(r.summary.linkPackets),
-                   static_cast<unsigned long long>(serial.summary.linkPackets),
-                   static_cast<unsigned long long>(r.summary.eventsExecuted),
-                   static_cast<unsigned long long>(serial.summary.eventsExecuted));
+                   "events %llu vs %llu, p50 %.9g vs %.9g, p99 %.9g vs %.9g, max %.9g vs %.9g "
+                   "ms\n",
+                   r.threads, static_cast<unsigned long long>(a.deliveries),
+                   static_cast<unsigned long long>(b.deliveries),
+                   static_cast<unsigned long long>(a.linkPackets),
+                   static_cast<unsigned long long>(b.linkPackets),
+                   static_cast<unsigned long long>(a.eventsExecuted),
+                   static_cast<unsigned long long>(b.eventsExecuted), a.p50Ms, b.p50Ms,
+                   a.p99Ms, b.p99Ms, a.maxMs, b.maxMs);
     }
   }
   std::printf("equivalence: %s\n", identical ? "all configs bit-equal to serial" : "MISMATCH");
@@ -145,10 +150,14 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "      {\"threads\": %zu, \"events\": %llu, \"wall_sec\": %.6f, "
                  "\"events_per_sec\": %.1f, \"deliveries\": %llu, "
-                 "\"mean_latency_ms\": %.3f, \"speedup_vs_serial\": %.3f}%s\n",
+                 "\"link_packets\": %llu, \"mean_latency_ms\": %.3f, "
+                 "\"p50_latency_ms\": %.6f, \"p99_latency_ms\": %.6f, "
+                 "\"max_latency_ms\": %.6f, \"speedup_vs_serial\": %.3f}%s\n",
                  r.threads, static_cast<unsigned long long>(r.summary.eventsExecuted),
                  r.wallSec, r.eventsPerSec(),
-                 static_cast<unsigned long long>(r.summary.deliveries), r.summary.meanMs,
+                 static_cast<unsigned long long>(r.summary.deliveries),
+                 static_cast<unsigned long long>(r.summary.linkPackets), r.summary.meanMs,
+                 r.summary.p50Ms, r.summary.p99Ms, r.summary.maxMs,
                  serial.wallSec > 0 ? serial.wallSec / r.wallSec : 0.0,
                  i + 1 < rows.size() ? "," : "");
   }

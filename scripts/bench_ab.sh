@@ -8,12 +8,15 @@
 # the order (A first on even pairs, B first on odd ones) so drift on a shared
 # host hits both sides alike. CMD runs from the worktree root; `{out}` in CMD
 # is replaced by the JSON path of that run. KEY is the dotted path of the
-# number to compare in that JSON (default: fig6.timed.events_per_sec).
+# number to compare in that JSON (default: fig6.timed.events_per_sec); a
+# list is indexed by an integer part (fig6.rows.3.events_per_sec).
 # Prints every run, then per side the median and quartiles, and in how many
 # pairs B's value is higher than A's.
 #
-# Example (the "before" leg of a data-plane change is its parent commit):
+# Examples (the "before" leg of a change is its parent commit):
 #   scripts/bench_ab.sh HEAD~1 HEAD 10 -- build/bench/bench_core --quick --out {out}
+#   scripts/bench_ab.sh HEAD~1 HEAD 10 fig6.rows.3.events_per_sec -- \
+#       build/bench/bench_parallel --quick --out {out}
 #
 # Worktrees are kept for reuse; drop them with `git worktree remove build-ab/<sha>`.
 set -euo pipefail
@@ -51,7 +54,7 @@ run() {  # SIDE DIR PAIR -> appends "SIDE value" to the results file
   python3 -c 'import json, sys
 v = json.load(open(sys.argv[1]))
 for k in sys.argv[2].split("."):
-    v = v[k]
+    v = v[int(k)] if isinstance(v, list) else v[k]
 print(sys.argv[3], float(v))' "$out" "$key" "$1" | tee -a "$results"
 }
 cmd=("$@")

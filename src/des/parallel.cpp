@@ -37,24 +37,30 @@ void ParallelSimulator::workerLoop(std::size_t self) {
   for (;;) {
     {
       // Plain while-wait (no predicate lambda): the guarded reads of exit_
-      // and round_ stay in a scope where -Wthread-safety can see CvLock's
+      // and runs_ stay in a scope where -Wthread-safety can see CvLock's
       // capability; a lambda body is analyzed as a capability-free function.
       CvLock lk(mu_);
-      while (!exit_ && round_ == seen) cv_.wait(lk);
+      while (!exit_ && runs_ == seen) cv_.wait(lk);
       if (exit_) return;
-      seen = round_;
+      seen = runs_;
     }
-    runRound(self);
+    runRounds(self);
   }
 }
 
-void ParallelSimulator::barrierArrive() {
+void ParallelSimulator::barrierArrive(bool planning) {
   const auto gen = barrierGen_.load(std::memory_order_acquire);
   const auto k = static_cast<std::uint32_t>(shards_.size());
   if (barrierArrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == k) {
-    // Last arriver: reset the counter for the next barrier, then flip the
-    // generation to release the spinners. Threads only touch the counter
-    // again after observing the new generation, so the reset cannot race.
+    // Last arriver: every other thread is spinning below, so the shards are
+    // quiescent and the plan can be written without a lock. Then reset the
+    // counter for the next barrier and flip the generation to release the
+    // spinners; threads only touch the counter again after observing the
+    // new generation, so the reset cannot race.
+    if (planning) {
+      ++rounds_;
+      moreRounds_ = plan() == Step::Round;
+    }
     barrierArrived_.store(0, std::memory_order_relaxed);
     barrierGen_.fetch_add(1, std::memory_order_release);
   } else {
@@ -67,90 +73,94 @@ void ParallelSimulator::barrierArrive() {
   }
 }
 
-void ParallelSimulator::runRound(std::size_t self) {
+void ParallelSimulator::runRounds(std::size_t self) {
   tlsShard_ = self;
-  try {
-    shards_[self]->runUntilBefore(window_);
-  } catch (...) {
-    MutexLock lk(errorMu_);
-    if (!firstError_) firstError_ = std::current_exception();
-  }
-  barrierArrive();  // every shard done executing; outbound buffers final
-  try {
-    mergeInbound(self);
-  } catch (...) {
-    MutexLock lk(errorMu_);
-    if (!firstError_) firstError_ = std::current_exception();
-  }
-  barrierArrive();  // every merge done; shard queues quiescent again
+  do {
+    try {
+      shards_[self]->runUntilBefore(window_);
+    } catch (...) {
+      MutexLock lk(errorMu_);
+      if (!firstError_) firstError_ = std::current_exception();
+    }
+    barrierArrive(false);  // every shard done executing; outbound buffers final
+    try {
+      mergeInbound(self);
+    } catch (...) {
+      MutexLock lk(errorMu_);
+      if (!firstError_) firstError_ = std::current_exception();
+    }
+    barrierArrive(true);  // every merge done; the next round is planned
+  } while (moreRounds_);
   tlsShard_ = kNoShard;
 }
 
 void ParallelSimulator::mergeInbound(std::size_t dst) {
-  auto& in = mergeByDst_[dst];
-  in.clear();
+  auto& slots = mergeByDst_[dst];
+  slots.clear();
   const std::size_t k = shards_.size();
   for (std::size_t src = 0; src < k; ++src) {
-    auto& buf = outbound_[src * k + dst];
-    for (auto& r : buf) in.push_back(std::move(r));
-    buf.clear();
+    for (Remote& r : outbound_[src * k + dst]) slots.push_back(Slot{r.when, r.key, &r});
   }
   // Deterministic admission order: the key is a pure function of the
   // workload ((src, seq) pairs are producer-unique), so the destination
   // shard assigns identical local seqs no matter how nodes were sharded.
-  std::sort(in.begin(), in.end(), [](const Remote& a, const Remote& b) {
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
     if (a.when != b.when) return a.when < b.when;
     if (a.key.sent != b.key.sent) return a.key.sent < b.key.sent;
     if (a.key.src != b.key.src) return a.key.src < b.key.src;
     return a.key.seq < b.key.seq;
   });
   Simulator& s = *shards_[dst];
-  for (auto& r : in) {
-    assert(r.when >= window_ && "merged event lands inside the round it left");
-    s.scheduleAt(r.when, std::move(r.fn));
+  for (const Slot& slot : slots) {
+    assert(slot.when >= window_ && "merged event lands inside the round it left");
+    s.scheduleAt(slot.when, std::move(slot.remote->fn));
   }
-  in.clear();
+  for (std::size_t src = 0; src < k; ++src) outbound_[src * k + dst].clear();
+}
+
+ParallelSimulator::Step ParallelSimulator::plan() {
+  {
+    MutexLock lk(errorMu_);
+    if (firstError_) return Step::Done;
+  }
+  const SimTime g = global_.nextEventWhen();
+  SimTime sMin = Simulator::kNoEvent;
+  for (auto& s : shards_) sMin = std::min(sMin, s->nextEventWhen());
+  const SimTime next = std::min(g, sMin);
+  if (next == Simulator::kNoEvent || next > until_) return Step::Done;
+  if (g <= sMin) return Step::Global;
+  // Parallel round over [sMin, W). W only depends on queue minima and the
+  // lookahead — never on thread timing — so the round structure itself is
+  // identical across runs and thread counts.
+  const SimTime cap = (until_ == INT64_MAX) ? INT64_MAX : until_ + 1;
+  const SimTime w = (sMin > INT64_MAX - lookahead_) ? INT64_MAX : sMin + lookahead_;
+  window_ = std::min({w, g, cap});
+  return Step::Round;
 }
 
 std::uint64_t ParallelSimulator::run(SimTime until) {
   const std::uint64_t before = totalEventsExecuted();
-  for (;;) {
-    {
-      MutexLock lk(errorMu_);
-      if (firstError_) std::rethrow_exception(firstError_);
-    }
-    const SimTime g = global_.nextEventWhen();
-    SimTime sMin = Simulator::kNoEvent;
-    for (auto& s : shards_) sMin = std::min(sMin, s->nextEventWhen());
-    const SimTime next = std::min(g, sMin);
-    if (next == Simulator::kNoEvent || next > until) break;
-
-    if (g <= sMin) {
+  until_ = until;
+  for (Step step = plan(); step != Step::Done; step = plan()) {
+    if (step == Step::Global) {
       // Sequential phase: the earliest pending event lives on the global
       // lane. Line every shard's clock up on it (legal: no shard event
       // precedes g) so the handler sees a consistent "now" everywhere, then
       // run all global events at that timestamp with the workers parked.
+      const SimTime g = global_.nextEventWhen();
       for (auto& s : shards_) s->advanceTo(g);
       global_.run(g);
       ++globalPhases_;
       continue;
     }
-
-    // Parallel round over [sMin, W). W only depends on queue minima and the
-    // lookahead — never on thread timing — so the round structure itself is
-    // identical across runs and thread counts.
-    const SimTime cap = (until == INT64_MAX) ? INT64_MAX : until + 1;
-    SimTime w = (sMin > INT64_MAX - lookahead_) ? INT64_MAX
-                                                : sMin + lookahead_;
-    w = std::min(std::min(w, g), cap);
+    // A run of rounds: wake the workers once; they stay in runRounds until
+    // a planner ends the run.
     {
       MutexLock lk(mu_);
-      window_ = w;
-      ++round_;
+      ++runs_;
     }
     cv_.notify_all();
-    runRound(0);  // the calling thread is worker 0
-    ++rounds_;
+    runRounds(0);  // the calling thread is worker 0
   }
   {
     MutexLock lk(errorMu_);

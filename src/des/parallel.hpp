@@ -21,23 +21,31 @@ namespace gcopss {
 // shard is a complete serial Simulator executing its own (when, seq) order,
 // and the engine advances all shards together in time-windowed rounds:
 //
-//   window = min(earliest pending event across shards) + lookahead
+//   window = min(earliest pending event across shards + lookahead,
+//                next global-lane event, until + 1)
 //
-// with lookahead = the minimum cross-shard latency (for the network model,
-// the minimum link propagation delay). Inside a round every shard executes
-// its events with when < window on its own worker thread; anything a shard
-// produces for another shard (a packet delivery) necessarily lands at
-// when >= window, so it cannot race the round — it is buffered in a per-pair
-// SPSC queue and merged at the round barrier.
+// Inside a round every shard executes its events with when < window on its
+// own worker thread. Anything a shard posts to the engine lands at least one
+// lookahead after the event that posted it, so at when >= window: it cannot
+// race the round, and is buffered in a per-pair SPSC queue and merged at the
+// round barrier. (The network model posts only deliveries over links no
+// shorter than the lookahead; shorter links never join two shards, so those
+// deliveries stay on the sender's lane — Network::enableParallel.)
+//
+// Rounds run back to back: between two rounds of one run the workers do not
+// park. The last thread to reach the merge barrier plans the next round —
+// every shard is quiescent then — and the others read its decision when the
+// barrier releases. Workers park on a condition variable only between runs
+// of rounds: around global phases and when run() returns.
 //
 // Determinism contract (docs/ARCHITECTURE.md "Threading model"):
-//   * Cross-shard events carry a key (when, sentAt, srcNode, srcSeq) that is
-//     a pure function of the workload — never of thread timing or of the
+//   * Posted events carry a key (when, sentAt, srcNode, srcSeq) that is a
+//     pure function of the workload — never of thread timing or of the
 //     node->shard mapping. Each destination shard sorts its inbound buffers
 //     by that key before admitting them, so the local (when, seq) order every
 //     shard executes is bit-identical across thread counts, including 1.
-//   * Same-shard deliveries go through the same buffers as remote ones;
-//     otherwise "was the neighbour co-sharded?" would leak into tie-breaks.
+//   * Whether an event is posted or scheduled on its own lane must not depend
+//     on the node->shard mapping either (the network decides by link delay).
 //   * Sequential ("global") events — anything scheduled on the global lane,
 //     e.g. harness lambdas that touch several nodes, fault-plan crash hooks —
 //     run with every worker parked, after all shard events strictly before
@@ -52,9 +60,10 @@ class ParallelSimulator {
 
   struct Options {
     std::size_t workers = 2;
-    // Must be <= the minimum cross-shard event latency the model guarantees
-    // (Network::enableParallel checks it against the topology's min link
-    // delay). Rounds advance at least this far per barrier.
+    // Every posted event lands at least this far after the event that posts
+    // it. Rounds advance at least this far per barrier. For a network, use
+    // Topology::parallelLookahead(): Network::enableParallel keeps links
+    // shorter than it inside one shard and posts only over the others.
     SimTime lookahead = ms(1);
   };
 
@@ -87,8 +96,8 @@ class ParallelSimulator {
   // Schedule `fn` at `when` on shard `dst`. From a worker thread this
   // buffers into the per-pair queue (merged at the round barrier; `when`
   // must be >= the current window end, which the lookahead guarantees for
-  // link traversals). From sequential context it pushes directly — the
-  // caller is the only thread touching the engine then.
+  // the links the network posts over). From sequential context it pushes
+  // directly — the caller is the only thread touching the engine then.
   template <typename F>
   void post(std::size_t dst, SimTime when, RemoteKey key, F&& fn) {
     const std::size_t cur = tlsShard_;
@@ -119,12 +128,24 @@ class ParallelSimulator {
     RemoteKey key;
     InlineHandler fn;
   };
+  // Merge scratch: a Remote's sort key and where it sits in its per-pair
+  // buffer. The sort moves these, never the handlers.
+  struct Slot {
+    SimTime when;
+    RemoteKey key;
+    Remote* remote;
+  };
+  // What the engine does next: a parallel round over [.., window_), a
+  // global phase, or nothing (drained, past `until`, or a shard threw).
+  enum class Step { Round, Global, Done };
 
   void workerLoop(std::size_t self);
-  void runRound(std::size_t self);
+  void runRounds(std::size_t self);
   void mergeInbound(std::size_t dst);
-  void barrierArrive();
-  std::uint64_t drainGlobalPhase(SimTime g);
+  // The last arriver of a planning barrier counts the round and plans the
+  // next one before it releases the others.
+  void barrierArrive(bool planning);
+  Step plan();
 
   Simulator& global_;
   SimTime lookahead_;
@@ -134,30 +155,32 @@ class ParallelSimulator {
   // merge phase; the two barriers between the phases order every access.
   GCOPSS_SHARD_CONFINED std::vector<std::vector<Remote>> outbound_;
   // Per-destination merge scratch; only worker `dst` touches slot `dst`.
-  GCOPSS_SHARD_CONFINED std::vector<std::vector<Remote>> mergeByDst_;
+  GCOPSS_SHARD_CONFINED std::vector<std::vector<Slot>> mergeByDst_;
 
   // ---- round coordination (main thread acts as worker 0) ----
-  // Workers park on `cv_` between rounds; `round_` is bumped (under `mu_`)
-  // to publish a new window, `exit_` to shut down. Inside a round the two
-  // phase barriers are sense-reversing and yield-friendly: this engine must
-  // behave on oversubscribed hosts (CI runners, 1-core containers), so
-  // waiters spin only briefly before yielding.
+  // Workers park on `cv_` between runs of rounds; `runs_` is bumped (under
+  // `mu_`) to start one, `exit_` to shut down. The two phase barriers inside
+  // a round are sense-reversing and yield-friendly: this engine must behave
+  // on oversubscribed hosts (CI runners, 1-core containers), so waiters spin
+  // only briefly before yielding.
   Mutex mu_;
   std::condition_variable cv_;
-  std::uint64_t round_ GCOPSS_GUARDED_BY(mu_) = 0;
+  std::uint64_t runs_ GCOPSS_GUARDED_BY(mu_) = 0;
   bool exit_ GCOPSS_GUARDED_BY(mu_) = false;
-  // Written under mu_ when a round is published, read lock-free by workers
-  // inside the round: the cv wakeup that starts the round is the
-  // synchronizing edge, and no write happens while any worker is running.
-  // (Deliberately not GUARDED_BY: the in-round reads are ordered by the
-  // round protocol, not the mutex.)
+  // The plan: written by run() before it starts a run of rounds (the cv
+  // wakeup orders it for the workers) and by the last arriver of each merge
+  // barrier (the barrier release orders it). Nobody writes them while a
+  // worker executes or merges. (Deliberately not GUARDED_BY: the reads are
+  // ordered by the round protocol, not the mutex.)
+  SimTime until_ = 0;
   SimTime window_ = 0;
+  bool moreRounds_ = false;
   std::atomic<std::uint32_t> barrierArrived_{0};
   std::atomic<std::uint32_t> barrierGen_{0};
   std::vector<std::thread> threads_;  // workers 1..k-1
   std::exception_ptr firstError_ GCOPSS_GUARDED_BY(errorMu_);
   Mutex errorMu_;
-  std::uint64_t rounds_ = 0;
+  std::uint64_t rounds_ = 0;  // written by each round's last arriver
   std::uint64_t globalPhases_ = 0;
 
   static thread_local std::size_t tlsShard_;

@@ -214,7 +214,7 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
   if (cfg.threads > 0) {
     ParallelSimulator::Options po;
     po.workers = cfg.threads;
-    po.lookahead = topo.minLinkDelay();
+    po.lookahead = topo.parallelLookahead();
     psim = std::make_unique<ParallelSimulator>(sim, po);
     net.enableParallel(*psim);
   }

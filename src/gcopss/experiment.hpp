@@ -109,11 +109,12 @@ struct GCopssRunConfig {
   LinkQueueConfig linkQueues;
 
   // Event engine. 0 = the classic serial Simulator. N >= 1 = the
-  // ParallelSimulator with N worker shards (nodes partitioned round-robin,
-  // conservative lookahead = the topology's min link delay). Results are
-  // bit-identical across N — including N=1 vs the serial engine — by the
-  // deterministic-merge contract (docs/ARCHITECTURE.md). Fault plans used
-  // with threads > 0 must be built withIndependentStreams().
+  // ParallelSimulator with N worker shards: lookahead L =
+  // Topology::parallelLookahead(), and the components of the links shorter
+  // than L dealt round-robin to the shards. Results are bit-identical
+  // across N by construction (docs/ARCHITECTURE.md), and equal to the
+  // serial engine on every workload the tests and benches compare. Fault
+  // plans used with threads > 0 must be built withIndependentStreams().
   std::size_t threads = 0;
   std::size_t seriesPoints = 60;
   std::size_t cdfPoints = 50;

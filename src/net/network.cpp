@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -126,23 +127,7 @@ void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
     }
     arrival += verdict.extraDelay;  // jitter / reorder hold
   }
-  if (par_) {
-    // Every delivery — same-shard or not — funnels through the engine's
-    // merge with a key that ignores the shard mapping, so per-node event
-    // order is identical at any thread count. (Capture fits InlineHandler's
-    // inline storage: 24 bytes.)
-    const ParallelSimulator::RemoteKey key{
-        now, static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)),
-        sender.sendSeq_++};
-    par_->post(shardOf_[static_cast<std::size_t>(to)], now + arrival, key,
-               [this, to, from, p = std::move(pkt)]() mutable {
-                 enqueueCpu(to, from, std::move(p));
-               });
-    return;
-  }
-  sim_.schedule(arrival, [this, to, from, p = std::move(pkt)]() mutable {
-    enqueueCpu(to, from, std::move(p));
-  });
+  deliver(sender, to, link, now, arrival, std::move(pkt));
 }
 
 void Network::transmitQueued(NodeId from, NodeId to, PacketPtr pkt) {
@@ -178,20 +163,33 @@ void Network::transmitQueued(NodeId from, NodeId to, PacketPtr pkt) {
   // window (the queue never crosses a shard boundary).
   sender.shardSim_->scheduleAt(adm.txDone, [&q, sz = pkt->size]() { q.depart(sz); });
   // Receiver sees the packet one propagation delay after the last bit
-  // leaves. txDone >= now, so cross-shard arrivals still respect the
-  // min-propagation-delay lookahead the parallel engine is built on.
+  // leaves. txDone >= now, so a posted arrival still lands at least one
+  // lookahead after the send.
   const SimTime arrival = (adm.txDone - now) + link.delay + extraDelay;
-  if (par_) {
+  deliver(sender, to, link, now, arrival, std::move(pkt));
+}
+
+void Network::deliver(Node& sender, NodeId to, const Topology::Link& link, SimTime now,
+                      SimTime after, PacketPtr pkt) {
+  const NodeId from = sender.id_;
+  if (par_ && link.delay >= par_->lookahead()) {
+    // Deliveries over links no shorter than the lookahead funnel through the
+    // engine's merge — whether or not the endpoints share a shard — with a
+    // key that ignores the shard mapping, so per-node event order is
+    // identical at any thread count. (Capture fits InlineHandler's inline
+    // storage: 24 bytes.)
     const ParallelSimulator::RemoteKey key{
         now, static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)),
         sender.sendSeq_++};
-    par_->post(shardOf_[static_cast<std::size_t>(to)], now + arrival, key,
+    par_->post(shardOf_[static_cast<std::size_t>(to)], now + after, key,
                [this, to, from, p = std::move(pkt)]() mutable {
                  enqueueCpu(to, from, std::move(p));
                });
     return;
   }
-  sim_.schedule(arrival, [this, to, from, p = std::move(pkt)]() mutable {
+  // Serial runs, and shorter links: enableParallel never cuts those, so
+  // the sender's lane is the receiver's too.
+  sender.shardSim_->schedule(after, [this, to, from, p = std::move(pkt)]() mutable {
     enqueueCpu(to, from, std::move(p));
   });
 }
@@ -252,15 +250,21 @@ void Network::enableParallel(ParallelSimulator& psim) {
   assert(&psim.globalLane() == &sim_ &&
          "psim's global lane must be this network's Simulator");
   assert(!observer_ && "packet observers are serial-only");
-  assert(psim.lookahead() <= topo_.minLinkDelay() &&
-         "conservative lookahead must not exceed the min link delay");
   assert((!fault_ || fault_->plan().links.empty() ||
           fault_->plan().independentStreams) &&
          "parallel fault plans need FaultPlan::withIndependentStreams()");
   par_ = &psim;
+  // Deal whole short-link components round-robin, in ascending order of
+  // their smallest node id (uniform-delay graphs: every node alone, i % k).
   const std::size_t k = psim.workerCount();
-  shardOf_.resize(topo_.nodeCount());
-  for (std::size_t i = 0; i < shardOf_.size(); ++i) shardOf_[i] = i % k;
+  shardOf_ = topo_.shortLinkComponents(psim.lookahead());
+  for (std::size_t& shard : shardOf_) shard %= k;
+  assert(std::all_of(topo_.links().begin(), topo_.links().end(),
+                     [&](const Topology::Link& l) {
+                       return l.delay >= psim.lookahead() ||
+                              shardOf(l.a) == shardOf(l.b);
+                     }) &&
+         "no link shorter than the lookahead may join two shards");
   shardMeters_.assign(k, ShardMeter{});
   for (auto& n : nodes_) {
     if (n) n->shardSim_ = &psim.shard(shardOf_[static_cast<std::size_t>(n->id())]);

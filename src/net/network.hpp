@@ -168,13 +168,15 @@ class Network {
   }
   PacketObserver* observer() const { return observer_; }
 
-  // Switch this network onto the parallel engine: nodes are partitioned
-  // round-robin across `psim`'s shards, every node's lane becomes its
-  // shard's Simulator, and transmits route through the engine's
-  // deterministic cross-shard merge. Call after attaching nodes and before
-  // scheduling any traffic; psim's global lane must be this network's
-  // Simulator. Requires: no observer, lookahead <= minLinkDelay, and any
-  // fault plan built withIndependentStreams().
+  // Switch this network onto the parallel engine. The connected components
+  // of the links shorter than psim's lookahead are dealt round-robin to its
+  // shards (Topology::shortLinkComponents), so no such link joins two
+  // shards, and every node's lane becomes its shard's Simulator. A delivery
+  // over a shorter link is scheduled straight on the sender's lane; every
+  // other delivery routes through the engine's deterministic merge. Call
+  // after the topology is final and nodes are attached, before scheduling
+  // any traffic; psim's global lane must be this network's Simulator.
+  // Requires: no observer, and any fault plan built withIndependentStreams().
   void enableParallel(ParallelSimulator& psim);
   bool parallelEnabled() const { return par_ != nullptr; }
   ParallelSimulator* parallel() { return par_; }
@@ -227,6 +229,9 @@ class Network {
   void meterQueueDrop();
   // The queued-transmit data path (faceQueues_ non-empty).
   void transmitQueued(NodeId from, NodeId to, PacketPtr pkt);
+  // Hands `pkt` to `to`'s CPU queue `after` from `now` (both transmit paths).
+  void deliver(Node& sender, NodeId to, const Topology::Link& link, SimTime now,
+               SimTime after, PacketPtr pkt);
   FaceQueue& faceQueueRef(NodeId from, NodeId to);
 
   Simulator& sim_;

@@ -19,9 +19,9 @@ namespace gcopss {
 // a pluggable discipline (DropTail or RED below).
 //
 // Determinism contract (docs/ARCHITECTURE.md): all queueing happens on the
-// *sender's* side, before the packet crosses a shard boundary, so the
-// parallel engine's conservative lookahead stays the minimum propagation
-// delay — serialization only pushes arrivals later, never earlier. A face
+// *sender's* side, before the packet crosses a shard boundary, so a posted
+// arrival still lands at least one lookahead (a propagation delay the link
+// meets) after the send — serialization only pushes arrivals later. A face
 // queue is touched exclusively by the lane that owns its sending node
 // (transmits and serialization completions both run there), so the hot path
 // needs no locks and serial-vs-parallel runs stay bit-identical.

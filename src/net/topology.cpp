@@ -3,10 +3,43 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 
 namespace gcopss {
+
+namespace {
+
+// Union-find whose roots are the smallest node id of their set.
+class NodeSets {
+ public:
+  explicit NodeSets(std::size_t n) : parent_(n), count_(n) {
+    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
+  }
+  std::size_t count() const { return count_; }
+  std::size_t find(std::size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // path halving
+      x = parent_[x];
+    }
+    return x;
+  }
+  void unite(NodeId a, NodeId b) {
+    std::size_t ra = find(static_cast<std::size_t>(a));
+    std::size_t rb = find(static_cast<std::size_t>(b));
+    if (ra == rb) return;
+    if (rb < ra) std::swap(ra, rb);
+    parent_[rb] = ra;
+    --count_;
+  }
+
+ private:
+  std::vector<std::size_t> parent_;
+  std::size_t count_;
+};
+
+}  // namespace
 
 std::uint64_t Topology::key(NodeId a, NodeId b) {
   if (a > b) std::swap(a, b);
@@ -67,6 +100,47 @@ void Topology::setLinkBandwidth(NodeId a, NodeId b, double bps) {
 void Topology::setAllBandwidths(double bps) {
   assert(bps > 0.0);
   for (Link& l : links_) l.bandwidthBps = bps;
+}
+
+SimTime Topology::parallelLookahead() const {
+  std::vector<const Link*> byDelay;
+  byDelay.reserve(links_.size());
+  for (const Link& l : links_) byDelay.push_back(&l);
+  std::sort(byDelay.begin(), byDelay.end(),
+            [](const Link* a, const Link* b) { return a->delay < b->delay; });
+  // Walk the distinct delays upward; before scoring delay d, every link
+  // shorter than d has been merged into the sets.
+  NodeSets sets(labels_.size());
+  SimTime best = 0;
+  std::uint64_t bestScore = 0;
+  for (std::size_t i = 0; i < byDelay.size();) {
+    const SimTime d = byDelay[i]->delay;
+    const std::uint64_t score = static_cast<std::uint64_t>(d) * sets.count();
+    if (score > bestScore) {
+      best = d;
+      bestScore = score;
+    }
+    for (; i < byDelay.size() && byDelay[i]->delay == d; ++i) {
+      sets.unite(byDelay[i]->a, byDelay[i]->b);
+    }
+  }
+  return best;
+}
+
+std::vector<std::size_t> Topology::shortLinkComponents(SimTime lookahead) const {
+  NodeSets sets(labels_.size());
+  for (const Link& l : links_) {
+    if (l.delay < lookahead) sets.unite(l.a, l.b);
+  }
+  // A root is its component's smallest id, so an ascending scan meets every
+  // root before the rest of its component.
+  std::vector<std::size_t> comp(labels_.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < comp.size(); ++i) {
+    const std::size_t root = sets.find(i);
+    comp[i] = root == i ? next++ : comp[root];
+  }
+  return comp;
 }
 
 const Topology::SpfTree& Topology::spfFrom(NodeId source) const {

@@ -39,14 +39,18 @@ class Topology {
   // unaffected, so no route invalidation is needed).
   void setLinkBandwidth(NodeId a, NodeId b, double bps);
   void setAllBandwidths(double bps);
-  // Smallest propagation delay over all links; 0 on an empty graph. This is
-  // the upper bound for the parallel engine's conservative lookahead: no
-  // packet can cross a shard boundary in less simulated time.
-  SimTime minLinkDelay() const {
-    SimTime m = 0;
-    for (const Link& l : links_) m = (m == 0 || l.delay < m) ? l.delay : m;
-    return m;
-  }
+  // The parallel engine's lookahead L, chosen from this graph's own delays.
+  // A delivery over a link shorter than L stays inside one shard, so the
+  // shard partition deals out the connected components of the graph of
+  // links with delay < L and never cuts such a link. Rounds per simulated
+  // second fall as 1/L, and the components are the units the shards share
+  // out; among the distinct link delays, L maximises L x (component count).
+  // Ties go to the smaller delay. A uniform-delay graph gets its one delay
+  // with every node a component of its own. 0 on a graph with no links.
+  SimTime parallelLookahead() const;
+  // Component index per node in the graph of links with delay < `lookahead`,
+  // numbered in ascending order of each component's smallest node id.
+  std::vector<std::size_t> shortLinkComponents(SimTime lookahead) const;
   const std::vector<NodeId>& neighbors(NodeId n) const {
     return adjacency_.at(static_cast<std::size_t>(n));
   }

@@ -8,8 +8,12 @@
 #include "common/hash.hpp"
 #include "common/name_table.hpp"
 #include "des/parallel.hpp"
+#include "game/map.hpp"
+#include "game/objects.hpp"
+#include "gcopss/experiment.hpp"
 #include "net/fault.hpp"
 #include "net/packet.hpp"
+#include "trace/trace.hpp"
 #include "world_fixture.hpp"
 
 namespace gcopss::test {
@@ -125,7 +129,7 @@ std::unique_ptr<ParallelSimulator> shardedEngine(LineWorld& w, std::size_t threa
   w.checker.reset();
   ParallelSimulator::Options po;
   po.workers = threads;
-  po.lookahead = w.topo->minLinkDelay();
+  po.lookahead = w.topo->parallelLookahead();
   return std::make_unique<ParallelSimulator>(*w.sim, po);
 }
 
@@ -326,6 +330,128 @@ TEST(ParallelDeterminism, AutoBalanceSplitsIdenticalAcrossThreadCounts) {
         << "threads=" << threads << ": per-client delivery traces must match serial";
     EXPECT_EQ(par.splits, serial.splits) << "threads=" << threads;
     EXPECT_EQ(par.firstSplitAt, serial.firstSplitAt) << "threads=" << threads;
+  }
+}
+
+// Two senders' deliveries tie at one receiver: same send time, same arrival
+// time, over links no shorter than the lookahead. B sends first in execution
+// order, but the merge admits by key, so A (the lower node id) reaches the
+// receiver's CPU first — whether or not a sender shares the receiver's
+// shard. A shortcut for co-sharded deliveries would admit B first at one
+// shard and A first at three.
+class TieNode : public Node {
+ public:
+  TieNode(NodeId id, Network& net) : Node(id, net) {}
+  void handle(NodeId from, const PacketPtr&) override { arrivals.emplace_back(from, sim().now()); }
+  SimTime serviceTime(const PacketPtr&) const override { return ms(1); }
+  void emit(NodeId to) { send(to, makePacket<Packet>(Packet::Kind::IpUnicast, Bytes{100})); }
+
+  std::vector<std::pair<NodeId, SimTime>> arrivals;
+};
+
+std::vector<std::pair<NodeId, SimTime>> runTiedSenders(std::size_t threads) {
+  Simulator sim;
+  Topology topo;
+  const NodeId r = topo.addNode(), a = topo.addNode(), b = topo.addNode();
+  topo.addLink(a, r, ms(5));
+  topo.addLink(b, r, ms(5));
+  Network net(sim, topo, SimParams::largeScale());
+  auto& rx = net.emplaceNode<TieNode>(r, net);
+  auto& txA = net.emplaceNode<TieNode>(a, net);
+  auto& txB = net.emplaceNode<TieNode>(b, net);
+  ParallelSimulator::Options po;
+  po.workers = threads;
+  po.lookahead = topo.parallelLookahead();
+  ParallelSimulator psim(sim, po);
+  net.enableParallel(psim);
+  net.nodeSim(b).scheduleAt(ms(1), [&txB, r]() { txB.emit(r); });
+  net.nodeSim(a).scheduleAt(ms(1), [&txA, r]() { txA.emit(r); });
+  psim.run();
+  return rx.arrivals;
+}
+
+TEST(ParallelDeterminism, TiedDeliveriesMergeByKeyWhetherOrNotCoSharded) {
+  const auto one = runTiedSenders(1);  // every node on one shard
+  ASSERT_EQ(one.size(), 2u);
+  EXPECT_EQ(one[0].first, 1) << "the lower sender id wins the tie";
+  EXPECT_EQ(one[1].first, 2);
+  EXPECT_EQ(runTiedSenders(2), one) << "sender 2 shares the receiver's shard";
+  EXPECT_EQ(runTiedSenders(3), one) << "every node on its own shard";
+}
+
+// The Rocketfuel world mixes link delays (hosts 1 ms, edge uplinks 5 ms,
+// core 1-20 ms), so its lookahead exceeds its shortest link: deliveries over
+// the shorter links stay on their component's lane and skip the merge. The
+// LineWorld runs above never reach that path (every link there is 1 ms).
+struct RocketfuelRun {
+  gc::RunSummary summary;
+  std::size_t shortLinks = 0;  // links with delay < lookahead
+  std::size_t longLinks = 0;
+};
+
+RocketfuelRun runRocketfuel(std::size_t threads, bool autoBalance) {
+  const game::GameMap map{std::vector<std::size_t>{2, 2}};
+  const game::ObjectDatabase db{map, {6, 12, 24}};
+  trace::CsTraceConfig tcfg;
+  tcfg.players = 40;
+  tcfg.totalUpdates = 1500;
+  tcfg.meanInterArrival = ms(2);  // a single root RP backs up past 50 ms
+  tcfg.seed = 7;
+  const auto trace = trace::generateCsTrace(map, db, tcfg);
+
+  gc::GCopssRunConfig cfg;
+  cfg.topo = gc::TopoKind::Rocketfuel;
+  cfg.threads = threads;
+  if (autoBalance) {
+    cfg.autoBalance = true;
+    cfg.balance.backlogThreshold = ms(50);
+    cfg.balance.cooldown = seconds(1);
+  }
+  RocketfuelRun r;
+  cfg.onWorldReady = [&r, threads](const gc::GCopssRunConfig::WorldView& w) {
+    const Topology& topo = w.net.topology();
+    const SimTime lookahead = topo.parallelLookahead();
+    if (threads > 0) {
+      EXPECT_EQ(w.net.parallel()->lookahead(), lookahead);
+    }
+    for (const Topology::Link& l : topo.links()) {
+      if (l.delay >= lookahead) {
+        ++r.longLinks;
+        continue;
+      }
+      ++r.shortLinks;
+      EXPECT_EQ(w.net.shardOf(l.a), w.net.shardOf(l.b))
+          << "threads=" << threads << ": link " << l.a << "-" << l.b << " ("
+          << l.delay << " ns) is shorter than the lookahead but joins two shards";
+    }
+  };
+  r.summary = gc::runGCopssTrace(map, trace, cfg);
+  return r;
+}
+
+TEST(ParallelDeterminism, RocketfuelShortLinkComponentsIdenticalAcrossThreadCounts) {
+  for (const bool autoBalance : {false, true}) {
+    const RocketfuelRun serial = runRocketfuel(0, autoBalance);
+    EXPECT_GT(serial.shortLinks, 0u) << "the lookahead must exceed the shortest link";
+    EXPECT_GT(serial.longLinks, 0u);
+    EXPECT_GT(serial.summary.deliveries, 0u);
+    if (autoBalance) {
+      EXPECT_GE(serial.summary.rpSplits, 1u) << "the root RP must split";
+    }
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      const gc::RunSummary par = runRocketfuel(threads, autoBalance).summary;
+      const gc::RunSummary& ref = serial.summary;
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " autoBalance=" << autoBalance);
+      EXPECT_EQ(par.deliveries, ref.deliveries);
+      EXPECT_EQ(par.eventsExecuted, ref.eventsExecuted);
+      EXPECT_EQ(par.linkPackets, ref.linkPackets);
+      EXPECT_EQ(par.drops, ref.drops);
+      EXPECT_EQ(par.rpSplits, ref.rpSplits);
+      EXPECT_EQ(par.p50Ms, ref.p50Ms);
+      EXPECT_EQ(par.p99Ms, ref.p99Ms);
+      EXPECT_EQ(par.latencyCdfMs, ref.latencyCdfMs);
+    }
   }
 }
 

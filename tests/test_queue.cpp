@@ -300,7 +300,7 @@ SatDigest runSaturated(std::size_t threads) {
     w.checker.reset();  // observers are serial-only
     ParallelSimulator::Options po;
     po.workers = threads;
-    po.lookahead = w.topo->minLinkDelay();
+    po.lookahead = w.topo->parallelLookahead();
     psim = std::make_unique<ParallelSimulator>(*w.sim, po);
     w.net->enableParallel(*psim);
   }

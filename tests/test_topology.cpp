@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "net/topo_factory.hpp"
 #include "net/topology.hpp"
@@ -91,6 +93,61 @@ TEST(Topology, NextHopLiesOnShortestPath) {
     EXPECT_EQ(t.pathDelay(from, to),
               t.linkBetween(from, nh).delay + t.pathDelay(nh, to));
   }
+}
+
+// Four routers in a ring of 5 ms links, except one 2 ms link between r1
+// and r2; each router has two hosts at 1 ms. Candidate lookaheads:
+//   1 ms: no shorter link, 12 singletons            -> score 12
+//   2 ms: host links uncut, 4 router+hosts groups   -> score  8
+//   5 ms: the 2 ms link joins r1 and r2, 3 groups   -> score 15
+TEST(Topology, ParallelLookaheadKeepsShortLinksInOneComponent) {
+  Topology t;
+  std::vector<NodeId> r;
+  for (int i = 0; i < 4; ++i) r.push_back(t.addNode());
+  t.addLink(r[0], r[1], ms(5));
+  t.addLink(r[1], r[2], ms(2));
+  t.addLink(r[2], r[3], ms(5));
+  t.addLink(r[3], r[0], ms(5));
+  std::vector<NodeId> hostOf;  // router index per host, in id order
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (int h = 0; h < 2; ++h) {
+      t.addLink(t.addNode(), r[i], ms(1));
+      hostOf.push_back(static_cast<NodeId>(i));
+    }
+  }
+
+  EXPECT_EQ(t.parallelLookahead(), ms(5));
+  // Numbered by smallest node id: {r0}, {r1, r2}, {r3}, each with its hosts.
+  const std::vector<std::size_t> groupOfRouter = {0, 1, 1, 2};
+  const auto comp = t.shortLinkComponents(ms(5));
+  ASSERT_EQ(comp.size(), 12u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(comp[i], groupOfRouter[i]) << "r" << i;
+  for (std::size_t h = 0; h < hostOf.size(); ++h) {
+    EXPECT_EQ(comp[4 + h], groupOfRouter[static_cast<std::size_t>(hostOf[h])]) << "host " << h;
+  }
+  for (const Topology::Link& l : t.links()) {
+    if (l.delay < ms(5)) {
+      EXPECT_EQ(comp[static_cast<std::size_t>(l.a)], comp[static_cast<std::size_t>(l.b)]);
+    }
+  }
+  // At 2 ms every router keeps only its own hosts.
+  const auto byRouter = t.shortLinkComponents(ms(2));
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(byRouter[i], i);
+  for (std::size_t h = 0; h < hostOf.size(); ++h) {
+    EXPECT_EQ(byRouter[4 + h], static_cast<std::size_t>(hostOf[h]));
+  }
+}
+
+TEST(Topology, UniformDelayLookaheadIsTheDelayWithSingletons) {
+  Topology t;
+  for (int i = 0; i < 5; ++i) t.addNode();
+  for (NodeId i = 0; i + 1 < 5; ++i) t.addLink(i, i + 1, ms(3));
+  EXPECT_EQ(t.parallelLookahead(), ms(3));
+  EXPECT_EQ(t.shortLinkComponents(ms(3)), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  Topology empty;
+  empty.addNode();
+  EXPECT_EQ(empty.parallelLookahead(), 0);
 }
 
 TEST(TopoFactory, BenchmarkTopologyIsTheFig3bChain) {
