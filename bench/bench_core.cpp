@@ -9,7 +9,8 @@
 //      3 RPs), timed clean and then re-run with the InvariantChecker
 //      attached through GCopssRunConfig::onWorldReady/onRunDrained so the
 //      throughput numbers are certified leak-free (strict end-of-run packet
-//      conservation plus the state invariants), not just fast.
+//      conservation plus the state invariants) and exactly-once (the
+//      delivery audit), not just fast.
 //
 // Usage: bench_core [--quick] [--out PATH]
 //   --quick  CI-sized run (~10x smaller); same schema, field "mode": "quick"
@@ -204,7 +205,10 @@ Fig6Result runFig6(SimTime duration) {
     g.numRps = 3;
     std::unique_ptr<check::InvariantChecker> checker;
     g.onWorldReady = [&](const GCopssRunConfig::WorldView& wv) {
-      checker = std::make_unique<check::InvariantChecker>(wv.net, wv.routers, wv.clients);
+      check::InvariantChecker::Options opts;
+      opts.checkDelivery = true;
+      checker = std::make_unique<check::InvariantChecker>(wv.net, wv.routers, wv.clients,
+                                                          opts);
       checker->schedulePeriodic(seconds(1), duration + seconds(1));
     };
     g.onRunDrained = [&](const GCopssRunConfig::WorldView&) {

@@ -123,12 +123,10 @@ void InvariantChecker::onWireSend(NodeId from, NodeId to, const PacketPtr& pkt,
   // entitled to it is decided at audit time, from the ledger.
   const auto& mcast = packet_cast<copss::MulticastPacket>(pkt);
   if (mcast.publisher != from || !clientById_.count(from)) return;
-  if (pubs_.count(mcast.seq)) return;
-  PubRecord rec;
-  rec.cds = mcast.cds;
-  rec.publishedAt = now;
-  rec.publisher = from;
-  pubs_.emplace(mcast.seq, std::move(rec));
+  const auto [it, fresh] = pubs_.try_emplace(PubKey{from, mcast.seq});
+  if (!fresh) return;
+  it->second.cds = mcast.cds;
+  it->second.publishedAt = now;
   ++stats_.publicationsTracked;
 }
 
@@ -156,8 +154,9 @@ void InvariantChecker::onHandle(NodeId at, NodeId fromFace, const PacketPtr& pkt
   // Replicate the client's accept decision (subscription match + exact
   // dedup) so finalAudit can cross-check the client's own received()
   // counter — a disagreement means the end-host dedup misbehaved.
-  std::set<std::uint64_t>& acc = accepted_[at];
-  if (acc.count(mcast.seq)) return;
+  const PubKey key{mcast.publisher, mcast.seq};
+  std::set<PubKey>& acc = accepted_[at];
+  if (acc.count(key)) return;
   bool matches = false;
   const auto& subs = it->second->subscriptions();
   for (const Name& cd : mcast.cds) {
@@ -167,8 +166,8 @@ void InvariantChecker::onHandle(NodeId at, NodeId fromFace, const PacketPtr& pkt
     if (matches) break;
   }
   if (!matches) return;
-  acc.insert(mcast.seq);
-  const auto pit = pubs_.find(mcast.seq);
+  acc.insert(key);
+  const auto pit = pubs_.find(key);
   if (pit != pubs_.end()) pit->second.delivered.insert(at);
 }
 
@@ -338,8 +337,8 @@ std::vector<Name> InvariantChecker::probeSet() const {
     }
     for (const Name& p : r->rpPrefixes()) probes.insert(p);
   }
-  for (const auto& [seq, rec] : pubs_) {
-    (void)seq;
+  for (const auto& [key, rec] : pubs_) {
+    (void)key;
     probes.insert(rec.cds.begin(), rec.cds.end());
   }
   return {probes.begin(), probes.end()};
@@ -557,18 +556,19 @@ bool InvariantChecker::entitledAt(NodeId client, const std::vector<Name>& cds,
 
 void InvariantChecker::auditDelivery() {
   const SimTime now = net_.sim().now();
-  for (const auto& [seq, rec] : pubs_) {
+  for (const auto& [key, rec] : pubs_) {
+    const auto& [publisher, seq] = key;
     if (rec.publishedAt + opts_.deliverySettle > now) continue;  // still settling
     for (const auto& [cid, client] : clientById_) {
       (void)client;
-      if (cid == rec.publisher) continue;  // clients drop their own echoes
+      if (cid == publisher) continue;  // clients drop their own echoes
       if (!entitledAt(cid, rec.cds, rec.publishedAt)) continue;
       if (!rec.delivered.count(cid)) {
         std::string cds;
         for (const Name& cd : rec.cds) cds += (cds.empty() ? "" : ",") + cd.toString();
         addViolation(Invariant::MigrationDelivery, cid,
                      "publication seq " + std::to_string(seq) + " to [" + cds +
-                         "] from node " + std::to_string(rec.publisher) +
+                         "] from node " + std::to_string(publisher) +
                          " never reached entitled subscriber node " +
                          std::to_string(cid),
                      {seq});

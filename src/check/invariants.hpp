@@ -165,7 +165,6 @@ class InvariantChecker : public PacketObserver {
   struct PubRecord {
     std::vector<Name> cds;
     SimTime publishedAt = 0;
-    NodeId publisher = kInvalidNode;
     std::set<NodeId> delivered;  // client nodes that accepted it
   };
 
@@ -212,8 +211,10 @@ class InvariantChecker : public PacketObserver {
   std::map<Name, std::uint64_t> epochHighWater_;
 
   // -- delivery ledger --
-  std::map<std::uint64_t, PubRecord> pubs_;           // seq -> record
-  std::map<NodeId, std::set<std::uint64_t>> accepted_;  // client -> seqs
+  // A publication's identity: its publisher and that publisher's seq.
+  using PubKey = std::pair<NodeId, std::uint64_t>;
+  std::map<PubKey, PubRecord> pubs_;
+  std::map<NodeId, std::set<PubKey>> accepted_;  // client -> publications
   std::map<NodeId, std::uint64_t> baseReceived_;  // client received() at attach
   // Per-(client, CD) subscription intervals, wire-observed; seeded from the
   // clients' subscription sets at attach.

@@ -1,259 +1,120 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/thread_annotations.hpp"
 
 namespace gcopss {
 
-// Exact sliding-window membership structures over nonzero 64-bit keys
-// (publication seqs). Semantically identical to the ring + unordered
-// container pairs they replaced — the window holds the last `window`
-// distinct keys, evicting strictly in insertion order — but open-addressed
-// with power-of-two capacity, so the hot lookup is a mix64 + mask instead
-// of libstdc++'s prime-modulo division, and there is no per-node heap churn.
-// Deletion uses backward-shift (no tombstones), keeping probes short for the
-// lifetime of the structure. Key 0 is reserved as the empty marker, matching
-// the rings' existing convention (real seqs start at 1).
-//
-// Storage is lazy and grows geometrically toward the window size: most nodes
-// construct a window they barely touch (leaf routers, idle clients), and the
-// old unordered containers only ever held what was actually inserted.
-
-namespace detail {
-inline std::size_t seqSlotCapacity(std::size_t window) {
-  std::size_t p = 16;
-  while (p < window * 2) p <<= 1;  // load factor <= 1/2
-  return p;
-}
-inline std::size_t seqInitialCapacity(std::size_t window) {
-  const std::size_t cap = seqSlotCapacity(window);
-  return cap < 256 ? cap : 256;
-}
-inline std::size_t seqInitialRing(std::size_t window) {
-  return window < 256 ? window : 256;
-}
-}  // namespace detail
-
-// Membership-only window: "have I delivered this seq recently?"
+// Anti-replay window over one publisher's seqs (RFC 6479): the highest seq
+// recorded plus a bitmap of the kSpan seqs ending at it. Contract:
+//   - every seq in (highest - kSpan, highest] is tracked exactly;
+//   - a seq below that span counts as seen.
+// A receiver deduplicating through it is therefore at-most-once always, and
+// exactly-once for every copy that arrives within kSpan of the publisher's
+// newer seqs.
 class SeqWindow {
  public:
-  explicit SeqWindow(std::size_t window = 4096) : window_(window) {}
+  static constexpr std::uint64_t kSpan = 128;
 
-  // True iff `key` is already in the window; otherwise records it (evicting
-  // the oldest entry once the window is full).
-  bool checkAndInsert(std::uint64_t key) {
-    if (slots_.empty()) {
-      ring_.assign(detail::seqInitialRing(window_), 0);
-      slots_.assign(detail::seqInitialCapacity(window_), 0);
-      mask_ = slots_.size() - 1;
+  // True iff `seq` was already recorded or lies below the span; otherwise
+  // records it.
+  bool checkAndInsert(std::uint64_t seq) {
+    if (seq > top_) {
+      advance(seq - top_);
+      top_ = seq;
+      bits_[0] |= 1;
+      return false;
     }
-    for (std::size_t i = slotFor(key); slots_[i] != 0; i = (i + 1) & mask_) {
-      if (slots_[i] == key) return true;
-    }
-    // The ring also grows geometrically toward the window: overwriting a
-    // live slot while below capacity means "make room", not "evict" —
-    // eviction starts exactly once `window_` distinct keys are live, same
-    // as the old eagerly-sized ring.
-    if (ring_[pos_] != 0 && ring_.size() < window_) growRing();
-    const std::uint64_t evicted = ring_[pos_];
-    if (evicted != 0) {
-      erase(evicted);
-      --count_;
-    }
-    if ((++count_) * 2 > slots_.size()) grow();
-    slots_[freeSlotFor(key)] = key;
-    ring_[pos_] = key;
-    pos_ = pos_ + 1 == ring_.size() ? 0 : pos_ + 1;
+    const std::uint64_t age = top_ - seq;
+    if (age >= kSpan) return true;
+    std::uint64_t& word = bits_[age / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (age % 64);
+    if (word & bit) return true;
+    word |= bit;
     return false;
   }
 
-  void clear() {
-    std::fill(ring_.begin(), ring_.end(), 0);
-    std::fill(slots_.begin(), slots_.end(), 0);
-    pos_ = 0;
-    count_ = 0;
-  }
+  // Nothing recorded yet. Bit 0 is `top_` itself, set by the first insert
+  // and by every one that raises `top_`.
+  bool empty() const { return (bits_[0] & 1) == 0; }
 
  private:
-  std::size_t slotFor(std::uint64_t key) const {
-    return static_cast<std::size_t>(mix64(key)) & mask_;
-  }
-  std::size_t freeSlotFor(std::uint64_t key) const {
-    std::size_t i = slotFor(key);
-    while (slots_[i] != 0) i = (i + 1) & mask_;
-    return i;
-  }
+  static_assert(kSpan == 128, "advance() shifts exactly two words");
 
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, 0);
-    mask_ = slots_.size() - 1;
-    for (std::uint64_t k : old) {
-      if (k != 0) slots_[freeSlotFor(k)] = k;
+  // Age every recorded seq by `by` >= 1 positions.
+  void advance(std::uint64_t by) {
+    if (by >= kSpan) {
+      bits_[0] = bits_[1] = 0;
+    } else if (by >= 64) {
+      bits_[1] = bits_[0] << (by - 64);
+      bits_[0] = 0;
+    } else {
+      bits_[1] = (bits_[1] << by) | (bits_[0] >> (64 - by));
+      bits_[0] <<= by;
     }
   }
 
-  void growRing() {
-    // Called with the ring full (`pos_` is the oldest entry): unroll
-    // oldest..newest to the front of a larger ring so `pos_` lands on
-    // fresh empty space.
-    const std::size_t n = ring_.size();
-    std::vector<std::uint64_t> bigger(std::min(n * 2, window_), 0);
-    for (std::size_t i = 0; i < n; ++i) bigger[i] = ring_[(pos_ + i) % n];
-    ring_ = std::move(bigger);
-    pos_ = n;
-  }
-
-  void erase(std::uint64_t key) {
-    std::size_t i = slotFor(key);
-    while (slots_[i] != key) i = (i + 1) & mask_;
-    // Backward-shift deletion: pull later entries of the probe chain into
-    // the gap whenever their home slot permits it.
-    std::size_t j = i;
-    for (;;) {
-      slots_[i] = 0;
-      for (;;) {
-        j = (j + 1) & mask_;
-        if (slots_[j] == 0) return;
-        const std::size_t home = slotFor(slots_[j]);
-        const bool movable = (j > i) ? (home <= i || home > j) : (home <= i && home > j);
-        if (movable) break;
-      }
-      slots_[i] = slots_[j];
-      i = j;
-    }
-  }
-
-  std::size_t window_;
-  std::vector<std::uint64_t> ring_;
-  std::size_t pos_ = 0;
-  std::vector<std::uint64_t> slots_;
-  std::size_t mask_ = 0;
-  std::size_t count_ = 0;
+  std::uint64_t top_ = 0;
+  // Bit i (word i / 64, bit i % 64) set: seq top_ - i was recorded.
+  std::uint64_t bits_[2] = {0, 0};
 };
 
-// Window map: seq -> V, find-or-create with insertion-order eviction.
-// Values live in a ring-parallel array — the entry evicted from ring slot
-// `pos_` hands its (capacity-retaining) value object straight to the key
-// replacing it — so the slot table stores only (key, ring index).
-template <typename V>
-class SeqWindowMap {
+// Open-addressed map from a 64-bit key to an inline SeqWindow: one window
+// per publisher at a client, per (publisher, face) at a router. Flat slots,
+// linear probing, grown at half load. A slot is free while its window is
+// empty, so no key value is reserved as a marker. There is no erase: a
+// crash clears the whole table.
+class SeqWindowTable {
  public:
-  explicit SeqWindowMap(std::size_t window = 4096) : window_(window) {}
-
-  // The value for `key`, default-constructed (or recycled empty) on first
-  // sight within the window. The reference is valid until the next at().
-  V& at(std::uint64_t key) {
-    if (keys_.empty()) {
-      ring_.assign(detail::seqInitialRing(window_), 0);
-      keys_.assign(detail::seqInitialCapacity(window_), 0);
-      idx_.assign(keys_.size(), 0);
-      mask_ = keys_.size() - 1;
+  // SeqWindow::checkAndInsert(seq) on the window for `key`, created empty on
+  // first use.
+  bool checkAndInsert(std::uint64_t key, std::uint64_t seq) {
+    if (used_ * 2 >= slots_.size()) grow();
+    std::size_t i = home(key);
+    while (!slots_[i].window.empty() && slots_[i].key != key) i = (i + 1) & mask_;
+    Slot& slot = slots_[i];
+    if (slot.window.empty()) {
+      slot.key = key;
+      ++used_;
     }
-    for (std::size_t i = slotFor(key); keys_[i] != 0; i = (i + 1) & mask_) {
-      if (keys_[i] == key) return vals_[idx_[i]];
-    }
-    if (ring_[pos_] != 0 && ring_.size() < window_) growRing();
-    const std::uint64_t evicted = ring_[pos_];
-    if (evicted != 0) {
-      erase(evicted);
-      --count_;
-    }
-    if ((++count_) * 2 > keys_.size()) grow();
-    const std::size_t s = freeSlotFor(key);
-    keys_[s] = key;
-    idx_[s] = static_cast<std::uint32_t>(pos_);
-    if (vals_.size() <= pos_) vals_.resize(pos_ + 1);
-    V& v = vals_[pos_];
-    v.clear();
-    ring_[pos_] = key;
-    pos_ = pos_ + 1 == ring_.size() ? 0 : pos_ + 1;
-    return v;
+    return slot.window.checkAndInsert(seq);
   }
 
   void clear() {
-    std::fill(ring_.begin(), ring_.end(), 0);
-    std::fill(keys_.begin(), keys_.end(), 0);
-    for (auto& v : vals_) v.clear();
-    pos_ = 0;
-    count_ = 0;
+    slots_.clear();
+    used_ = 0;
   }
 
  private:
-  std::size_t slotFor(std::uint64_t key) const {
+  struct Slot {
+    std::uint64_t key = 0;
+    SeqWindow window;
+  };
+
+  std::size_t home(std::uint64_t key) const {
     return static_cast<std::size_t>(mix64(key)) & mask_;
   }
-  std::size_t freeSlotFor(std::uint64_t key) const {
-    std::size_t i = slotFor(key);
-    while (keys_[i] != 0) i = (i + 1) & mask_;
-    return i;
-  }
 
-  void grow() {
-    std::vector<std::uint64_t> oldKeys = std::move(keys_);
-    std::vector<std::uint32_t> oldIdx = std::move(idx_);
-    keys_.assign(oldKeys.size() * 2, 0);
-    idx_.assign(keys_.size(), 0);
-    mask_ = keys_.size() - 1;
-    for (std::size_t i = 0; i < oldKeys.size(); ++i) {
-      if (oldKeys[i] == 0) continue;
-      const std::size_t s = freeSlotFor(oldKeys[i]);
-      keys_[s] = oldKeys[i];
-      idx_[s] = oldIdx[i];
+  // Amortized growth reachable from the hot stForward: doubles the table a
+  // handful of times per run, then never again.
+  GCOPSS_COLD void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.window.empty()) continue;
+      std::size_t i = home(s.key);
+      while (!slots_[i].window.empty()) i = (i + 1) & mask_;
+      slots_[i] = s;
     }
   }
 
-  void growRing() {
-    // Ring full (`pos_` = oldest). Unroll oldest..newest to the front of a
-    // larger ring, carrying values along and rebasing every slot's ring
-    // index by the same rotation. Values keep their capacity (moved).
-    const std::size_t n = ring_.size();
-    std::vector<std::uint64_t> ring(std::min(n * 2, window_), 0);
-    std::vector<V> vals(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t from = (pos_ + i) % n;
-      ring[i] = ring_[from];
-      if (from < vals_.size()) vals[i] = std::move(vals_[from]);
-    }
-    ring_ = std::move(ring);
-    vals_ = std::move(vals);
-    for (std::size_t s = 0; s < keys_.size(); ++s) {
-      if (keys_[s] != 0) idx_[s] = static_cast<std::uint32_t>((idx_[s] + n - pos_) % n);
-    }
-    pos_ = n;
-  }
-
-  void erase(std::uint64_t key) {
-    std::size_t i = slotFor(key);
-    while (keys_[i] != key) i = (i + 1) & mask_;
-    std::size_t j = i;
-    for (;;) {
-      keys_[i] = 0;
-      for (;;) {
-        j = (j + 1) & mask_;
-        if (keys_[j] == 0) return;
-        const std::size_t home = slotFor(keys_[j]);
-        const bool movable = (j > i) ? (home <= i || home > j) : (home <= i && home > j);
-        if (movable) break;
-      }
-      keys_[i] = keys_[j];
-      idx_[i] = idx_[j];
-      i = j;
-    }
-  }
-
-  std::size_t window_;
-  std::vector<std::uint64_t> ring_;
-  std::size_t pos_ = 0;
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> idx_;
-  std::vector<V> vals_;
+  std::vector<Slot> slots_;
   std::size_t mask_ = 0;
-  std::size_t count_ = 0;
+  std::size_t used_ = 0;
 };
 
 }  // namespace gcopss

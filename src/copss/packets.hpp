@@ -91,14 +91,18 @@ struct MulticastPacket : Packet {
   std::uint64_t matchKey = 0;
   Bytes payloadSize;
   SimTime publishedAt;   // for end-to-end latency metrics
-  std::uint64_t seq;     // globally unique publication id (metrics/dedup)
-  NodeId publisher;      // metrics only; routers never inspect it
+  // The publication's identity and dedup key is (publisher, seq): each
+  // publisher numbers its own publications from 1. Routers record per
+  // (publisher, face) and hosts per publisher which seqs they have seen
+  // (common/seq_window.hpp).
+  std::uint64_t seq;
+  NodeId publisher;
   // Reliable publish: the RP acknowledges delivery back to the publisher,
   // which retransmits on timeout with exponential backoff.
   bool wantAck = false;
   // A retransmission bypasses router seq-suppression (the first attempt may
   // have died past a router that already recorded the seq); end hosts still
-  // dedup exactly, so subscribers see each seq at most once.
+  // dedup, so subscribers see each (publisher, seq) at most once.
   bool retx = false;
 };
 

@@ -13,7 +13,7 @@ CopssRouter::CopssRouter(NodeId id, Network& net, Options opts)
                [this](NodeId face, PacketPtr pkt) { send(face, std::move(pkt)); },
                nullptr, nullptr},
            opts.ndn, [this]() { return sim().now(); }),
-      st_(opts.st), balancer_(opts.balance), sentFaces_(opts.dedupWindow) {}
+      st_(opts.st), balancer_(opts.balance) {}
 
 void CopssRouter::addCdRoute(const Name& prefix, NodeId nextHopFace) {
   cdFib_.insert(prefix, nextHopFace);
@@ -208,9 +208,15 @@ void CopssRouter::rpDeliver(NodeId arrivalFace, const PacketPtr& multicast) {
   if (opts_.autoBalance) maybeSplit();
 }
 
-std::vector<NodeId>& CopssRouter::sentRecord(std::uint64_t seq) {
-  return sentFaces_.at(seq);
+namespace {
+
+// Key of the served-seq window for `publisher`'s publications on `face`.
+std::uint64_t servedKey(NodeId publisher, NodeId face) {
+  return (std::uint64_t{static_cast<std::uint32_t>(publisher)} << 32) |
+         static_cast<std::uint32_t>(face);
 }
+
+}  // namespace
 
 GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& multicast) {
   const auto& mcast = packet_cast<MulticastPacket>(multicast);
@@ -220,17 +226,15 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
   // tick replay this hop's whole match from the ST's cache; misses run the
   // word-parallel bit-plane sweep.
   st_.matchFacesHashedInto(mcast.cds, mcast.prefixHashes, mcast.matchKey, excludeFace, faces);
-  auto& sent = sentRecord(mcast.seq);
   // Transient overlapping trees (during migration, or coarse subscriptions
-  // spanning multiple RPs) can deliver a seq here more than once; each face
-  // is served exactly once, and an arrival face counts as served.
-  if (excludeFace != kInvalidNode &&
-      std::find(sent.begin(), sent.end(), excludeFace) == sent.end()) {
-    sent.push_back(excludeFace);
+  // spanning multiple RPs) can deliver a publication here more than once;
+  // each face is served exactly once, and an arrival face counts as served.
+  if (excludeFace != kInvalidNode) {
+    served_.checkAndInsert(servedKey(mcast.publisher, excludeFace), mcast.seq);
   }
   for (NodeId face : faces) {
-    const bool served = std::find(sent.begin(), sent.end(), face) != sent.end();
-    // A retransmission re-floods the tree: the seq record cannot tell
+    const bool served = served_.checkAndInsert(servedKey(mcast.publisher, face), mcast.seq);
+    // A retransmission re-floods the tree: the served record cannot tell
     // "served" from "sent but lost downstream", so end hosts do the final
     // exact dedup. Local delivery has no link to lose on, so it stays
     // suppressed exactly.
@@ -238,7 +242,6 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
       ++dupSuppressed_;
       continue;
     }
-    if (!served) sent.push_back(face);
     if (face == ndn::kLocalFace) {
       if (onLocalMulticast) onLocalMulticast(mcast, sim().now());
       continue;
@@ -733,7 +736,7 @@ void CopssRouter::onCrash() {
   scopeRefs_.clear();
   sentUpstream_.clear();
   seenFloods_.clear();
-  sentFaces_.clear();
+  served_.clear();
   // Heartbeat/failover volatile state dies with the node: pending tick
   // closures are cancelled via the generation bump, and the last-beacon
   // snapshot is forgotten so a restarted standby cannot fail over from (or

@@ -39,9 +39,6 @@ class CopssRouter : public Node {
     // Dynamic RP balancing (Section IV-B).
     bool autoBalance = false;
     RpLoadBalancer::Options balance;
-    // Dedup window for multicast seqs (loop/duplicate suppression during
-    // tree reconfiguration).
-    std::size_t dedupWindow = 1 << 14;
     // Epoch reconciliation on restart: ask the neighbours whether the
     // persisted RP claims are still current and accept demotion if a higher
     // epoch owns them now. Off reproduces the pre-epoch split-brain (a
@@ -169,8 +166,8 @@ class CopssRouter : public Node {
 
   // ---- crash/restart lifecycle (invoked by Network::applyFaultPlan) ----
   // A crash loses all volatile COPSS state: ST, pending migrations, scoped
-  // aggregation refcounts, dedup rings. The FIB and RP role survive (modeled
-  // as persisted config / routing-protocol state).
+  // aggregation refcounts, served-seq windows. The FIB and RP role survive
+  // (modeled as persisted config / routing-protocol state).
   void onCrash() override;
   // A restart asks every neighbour to re-announce (ST resync).
   void onRestart() override;
@@ -202,9 +199,9 @@ class CopssRouter : public Node {
 
   // Deliver a decapsulated publication as the RP: ST multicast + balancing.
   void rpDeliver(NodeId arrivalFace, const PacketPtr& multicast);
-  // Forward a Multicast along the ST tree, to faces not yet served for this
-  // seq (per-face suppression: duplicates are dropped per face, never in a
-  // way that starves a subtree).
+  // Forward a Multicast along the ST tree, to faces not yet served with its
+  // (publisher, seq) (per-face suppression: duplicates are dropped per face,
+  // never in a way that starves a subtree).
   void stForward(NodeId excludeFace, const PacketPtr& multicast);
 
   // Expand an unscoped host (un)subscription over the intersecting assigned
@@ -216,8 +213,6 @@ class CopssRouter : public Node {
   void forwardScoped(const Name& cd, const Name& scope, bool subscribe,
                      bool resync = false);
 
-  // Faces already served with seq (creates the record on first use).
-  std::vector<NodeId>& sentRecord(std::uint64_t seq);
   void maybeSplit();
   void initiateSplit(NodeId newRp, std::vector<Name> cds);
 
@@ -262,8 +257,9 @@ class CopssRouter : public Node {
   // seenFloods_ — reclaim nonces and migration txnIds use different
   // counters and could collide. Volatile (cleared on crash).
   std::unordered_map<std::uint64_t, NodeId> seenReclaims_;
-  // seq -> faces already served; ring-evicted.
-  SeqWindowMap<std::vector<NodeId>> sentFaces_;
+  // One SeqWindow per (publisher, face): the publisher's seqs already sent
+  // on, or arrived over, that face.
+  SeqWindowTable served_;
   // Capacity-recycled scratch for stForward's ST match (moved out and back
   // around the fan-out loop, so reentrant forwards stay correct).
   std::vector<NodeId> matchScratch_;

@@ -5,11 +5,6 @@
 
 namespace gcopss::gc {
 
-std::uint64_t nextSnapshotSeq() {
-  static std::uint64_t next = 1ULL << 40;
-  return next++;
-}
-
 SnapshotBroker::SnapshotBroker(NodeId id, Network& net, Options opts,
                                const game::GameMap& map, game::ObjectDatabase db,
                                std::vector<Name> servingLeafCds, BrokerOptions bopts)
@@ -93,10 +88,11 @@ void SnapshotBroker::emitCyclic(const Name& leafCd) {
   if (!objs.empty()) {
     const game::ObjectId obj = objs[st.nextIndex % objs.size()];
     st.nextIndex = (st.nextIndex + 1) % objs.size();
-    auto pkt = makePacket<SnapshotObjectPacket>(
-        group, objectBytes(obj), sim().now(), nextSnapshotSeq(), id(), obj,
-        static_cast<std::uint32_t>(objs.size()));
+    // The broker publishes under its own node id: its n-th snapshot is seq n.
     ++cyclicSent_;
+    auto pkt = makePacket<SnapshotObjectPacket>(
+        group, objectBytes(obj), sim().now(), cyclicSent_, id(), obj,
+        static_cast<std::uint32_t>(objs.size()));
     // Through our own CPU queue: the broker pays for each emission, so a
     // loaded broker paces its cycle down (the bottleneck Table III studies).
     deliverLocal(std::move(pkt));

@@ -69,8 +69,4 @@ class SnapshotBroker : public copss::CopssRouter {
   std::uint64_t updatesApplied_ = 0;
 };
 
-// Globally unique sequence numbers for broker-originated multicast (kept in
-// a range disjoint from trace publication seqs).
-std::uint64_t nextSnapshotSeq();
-
 }  // namespace gcopss::gc

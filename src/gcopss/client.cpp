@@ -80,17 +80,15 @@ bool GCopssClient::matchesSubscription(const copss::MulticastPacket& mcast) cons
   return false;
 }
 
-bool GCopssClient::seenSeq(std::uint64_t seq) {
-  return seenSeqs_.checkAndInsert(seq);
-}
-
 void GCopssClient::handle(NodeId fromFace, const PacketPtr& pkt) {
   (void)fromFace;
   switch (pkt->kind) {
     case Packet::Kind::Multicast: {
       const auto& mcast = packet_cast<copss::MulticastPacket>(pkt);
       if (mcast.publisher == id()) return;  // own update echoed back
-      if (seenSeq(mcast.seq)) return;       // duplicate delivery
+      if (seenSeqs_.checkAndInsert(static_cast<std::uint32_t>(mcast.publisher), mcast.seq)) {
+        return;  // duplicate delivery
+      }
       if (!matchesSubscription(mcast)) {
         // Bloom false positive upstream, or aliased hybrid group traffic the
         // edge could not filter exactly — the host filters exactly.

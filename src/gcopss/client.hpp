@@ -48,9 +48,15 @@ class GCopssClient : public Node {
   // retransmitted on timeout with exponential backoff (ackTimeout, 2x, 4x,
   // ...) up to maxRetries attempts. Retransmissions keep the original
   // publishedAt so latency metrics measure true end-to-end delay, and carry
-  // the retx flag so routers re-flood instead of seq-suppressing them;
-  // subscribers still dedup exactly. Off by default: unacked publishes stay
-  // byte-identical to the paper's one-step datapath.
+  // the retx flag so routers re-flood instead of seq-suppressing them.
+  // Off by default: unacked publishes stay byte-identical to the paper's
+  // one-step datapath.
+  //
+  // Delivery contract: subscribers dedup on (publisher, seq), with one
+  // SeqWindow per publisher. A copy is accepted exactly once if it arrives
+  // before the publisher has published SeqWindow::kSpan (128) newer seqs;
+  // an older first copy counts as seen and is dropped (at-most-once). So a
+  // retransmission repairs a loss only within that span.
   struct ReliableOptions {
     SimTime ackTimeout = ms(50);
     unsigned maxRetries = 5;
@@ -76,6 +82,10 @@ class GCopssClient : public Node {
   static Name contentPrefixFor(NodeId clientId) {
     return Name({"pub", std::to_string(clientId)});
   }
+  // The publisher of a content name /pub/<id>/<seq> built from the above.
+  static NodeId contentPublisher(const Name& content) {
+    return static_cast<NodeId>(std::stol(content.at(1)));
+  }
   std::uint64_t twoStepFetchesIssued() const { return twoStepFetches_; }
   std::uint64_t twoStepServed() const { return twoStepServed_; }
 
@@ -93,7 +103,6 @@ class GCopssClient : public Node {
 
  private:
   bool matchesSubscription(const copss::MulticastPacket& mcast) const;
-  bool seenSeq(std::uint64_t seq);
   void scheduleRetry(std::uint64_t seq, SimTime delay);
 
   NodeId edgeFace_;
@@ -101,9 +110,10 @@ class GCopssClient : public Node {
   // Hashes of subscribed CDs (refcounted): a publication matches iff one of
   // its prefix hashes is subscribed — the same hash-only test routers use.
   HashRefcountMap subscriptionHashes_;
-  // Bounded duplicate-suppression window (duplicates only occur transiently
-  // during RP migration, so a small ring suffices).
-  SeqWindow seenSeqs_{4096};
+  // One anti-replay window per publisher heard (contract above, beside
+  // ReliableOptions). Duplicates only occur transiently, during RP migration
+  // and retransmission, so each publisher needs only its recent seqs.
+  SeqWindowTable seenSeqs_;
   MulticastCallback onMulticast_;
   DataCallback onData_;
   // Node-unique nonce space: two consumers pulling the same name must not

@@ -149,7 +149,45 @@ class TracePump {
   std::size_t next_ = 0;
 };
 
-constexpr std::uint64_t kSnapshotSeqBase = 1ULL << 40;
+// Per-publisher numbering of a trace: each player stamps its own records
+// 1, 2, ... in trace order, as a real publisher would. The latency
+// recorders are keyed by trace index, so a delivery maps (publisher, seq)
+// back to it. Rows are compressed over node ids: three allocations at any
+// player count.
+class PublisherSeqs {
+ public:
+  static constexpr std::size_t kNotTraced = static_cast<std::size_t>(-1);
+
+  PublisherSeqs(const trace::Trace& trace, const std::vector<NodeId>& hosts,
+                std::size_t nodeCount)
+      : seq_(trace.records.size()), first_(nodeCount + 1, 0),
+        record_(trace.records.size()) {
+    const auto node = [&](std::size_t i) {
+      return static_cast<std::size_t>(hosts[trace.records[i].playerId]);
+    };
+    for (std::size_t i = 0; i < seq_.size(); ++i) seq_[i] = ++first_[node(i) + 1];
+    for (std::size_t u = 0; u < nodeCount; ++u) first_[u + 1] += first_[u];
+    for (std::size_t i = 0; i < seq_.size(); ++i) record_[first_[node(i)] + seq_[i] - 1] = i;
+  }
+
+  // The seq trace record `i` is published with.
+  std::uint64_t seqOf(std::size_t i) const { return seq_[i]; }
+
+  // The trace index `publisher` stamped `seq` on, or kNotTraced for a
+  // publisher with no trace records (e.g. a snapshot broker).
+  std::size_t recordOf(NodeId publisher, std::uint64_t seq) const {
+    const auto u = static_cast<std::size_t>(publisher);
+    if (u >= first_.size() - 1 || seq == 0 || seq > first_[u + 1] - first_[u]) {
+      return kNotTraced;
+    }
+    return record_[first_[u] + seq - 1];
+  }
+
+ private:
+  std::vector<std::uint64_t> seq_;   // trace index -> publisher seq
+  std::vector<std::size_t> first_;   // node -> first row of its records
+  std::vector<std::size_t> record_;  // row -> trace index
+};
 
 }  // namespace
 
@@ -222,6 +260,8 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
   // Delivery recorders: one per shard (one total when serial). A client's
   // callback runs on its own shard, so each recorder has a single writer;
   // mergeFrom() after the drain reproduces the serial aggregate exactly.
+  // `seqs` is read-only once built, so every shard may share it.
+  const PublisherSeqs seqs(trace, hosts, topo.nodeCount());
   const std::size_t lanes = std::max<std::size_t>(1, cfg.threads);
   std::vector<metrics::LatencyRecorder> latency;
   latency.reserve(lanes);
@@ -229,15 +269,18 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
   for (std::size_t p = 0; p < clients.size(); ++p) {
     metrics::LatencyRecorder* rec = &latency[net.shardOf(hosts[p])];
     clients[p]->setMulticastCallback(
-        [rec](const copss::MulticastPacket& m, SimTime now) {
-          if (m.seq >= kSnapshotSeqBase) return;  // broker traffic
-          rec->record(static_cast<std::size_t>(m.seq - 1), m.publishedAt, now);
+        [rec, &seqs](const copss::MulticastPacket& m, SimTime now) {
+          const std::size_t idx = seqs.recordOf(m.publisher, m.seq);
+          if (idx == PublisherSeqs::kNotTraced) return;  // broker traffic
+          rec->record(idx, m.publishedAt, now);
         });
     if (cfg.twoStep) {
       // In two-step mode the pulled Data is the delivery.
       clients[p]->setDataCallback(
-          [rec](const ndn::DataPacketPtr& d, SimTime now) {
-            rec->record(static_cast<std::size_t>(d->seq - 1), d->createdAt, now);
+          [rec, &seqs](const ndn::DataPacketPtr& d, SimTime now) {
+            const std::size_t idx =
+                seqs.recordOf(GCopssClient::contentPublisher(d->name), d->seq);
+            if (idx != PublisherSeqs::kNotTraced) rec->record(idx, d->createdAt, now);
           });
     }
   }
@@ -307,9 +350,9 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
   TracePump pump(sim, trace, cfg.warmup,
                  [&](const trace::TraceRecord& rec, std::size_t idx) {
                    if (cfg.twoStep) {
-                     clients[rec.playerId]->publishTwoStep(rec.cd, rec.size, idx + 1);
+                     clients[rec.playerId]->publishTwoStep(rec.cd, rec.size, seqs.seqOf(idx));
                    } else {
-                     clients[rec.playerId]->publish(rec.cd, rec.size, idx + 1,
+                     clients[rec.playerId]->publish(rec.cd, rec.size, seqs.seqOf(idx),
                                                     rec.objectId);
                    }
                  });
@@ -323,12 +366,13 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
       const trace::TraceRecord& rec = trace.records[i];
       GCopssClient* c = clients[rec.playerId];
       const bool twoStep = cfg.twoStep;
+      const std::uint64_t seq = seqs.seqOf(i);
       net.nodeSim(hosts[rec.playerId])
-          .scheduleAt(cfg.warmup + rec.time, [c, &rec, i, twoStep]() {
+          .scheduleAt(cfg.warmup + rec.time, [c, &rec, seq, twoStep]() {
             if (twoStep) {
-              c->publishTwoStep(rec.cd, rec.size, i + 1);
+              c->publishTwoStep(rec.cd, rec.size, seq);
             } else {
-              c->publish(rec.cd, rec.size, i + 1, rec.objectId);
+              c->publish(rec.cd, rec.size, seq, rec.objectId);
             }
           });
     }

@@ -137,12 +137,14 @@ MovementSummary runMovementExperiment(const game::GameMap& map,
     for (auto* b : brokers) b->start();
   });
 
-  // Background publish pump (drives broker snapshot state).
+  // Background publish pump (drives broker snapshot state). Each player
+  // numbers its own publications 1, 2, ...
   std::size_t nextRec = 0;
+  std::vector<std::uint64_t> lastSeq(clients.size(), 0);
   std::function<void()> pump = [&]() {
     if (nextRec >= bgTrace.records.size()) return;
     const auto& rec = bgTrace.records[nextRec];
-    clients[rec.playerId]->publish(rec.cd, rec.size, nextRec + 1, rec.objectId);
+    clients[rec.playerId]->publish(rec.cd, rec.size, ++lastSeq[rec.playerId], rec.objectId);
     ++nextRec;
     if (nextRec < bgTrace.records.size()) {
       sim.scheduleAt(cfg.warmup + bgTrace.records[nextRec].time, pump);

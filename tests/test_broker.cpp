@@ -118,6 +118,27 @@ TEST(Broker, QrUnchangedObjectCostsAlmostNothing) {
   EXPECT_EQ(got, 8u);  // header-only for version-0 objects
 }
 
+// A broker numbers its own snapshots from 1, so a second world built in the
+// same process replays the first one's seqs.
+TEST(Broker, SnapshotSeqsRestartWithEveryBroker) {
+  std::vector<std::vector<std::uint64_t>> runs;
+  for (int run = 0; run < 2; ++run) {
+    BrokerWorld w;
+    const Name group = SnapshotBroker::snapGroupCd(Name::parse("/1/2"));
+    std::vector<std::uint64_t> seqs;
+    w.clients[1]->setMulticastCallback([&](const copss::MulticastPacket& m, SimTime) {
+      if (!dynamic_cast<const SnapshotObjectPacket*>(&m) || seqs.size() == 3) return;
+      seqs.push_back(m.seq);
+      if (seqs.size() == 3) w.clients[1]->unsubscribe(group);
+    });
+    w.sim.scheduleAt(ms(100), [&]() { w.clients[1]->subscribe(group); });
+    w.sim.run();
+    runs.push_back(seqs);
+  }
+  EXPECT_EQ(runs[0], (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(runs[1], runs[0]);
+}
+
 TEST(Broker, CyclicStartsOnSubscribeAndStopsOnUnsubscribe) {
   BrokerWorld w;
   const Name zone = Name::parse("/1/2");

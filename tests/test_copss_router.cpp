@@ -182,6 +182,59 @@ TEST(CopssRouter, PublisherAlsoSubscribedGetsNoSelfEcho) {
   EXPECT_FALSE(log.got(0, 1));  // clients drop their own publications
 }
 
+// Each publisher numbers its own publications, so two publishers' seqs 1-10
+// are twenty distinct publications. Routers and hosts dedup on (publisher,
+// seq), and so does the audit's delivery ledger.
+TEST(CopssRouter, TwoPublishersReusingSeqsAreBothDelivered) {
+  LineWorld w(4);
+  check::InvariantChecker::Options opts;
+  opts.checkDelivery = true;
+  auto& checker = w.enableFullAudit(opts);
+  w.singleRootRp(0);
+  std::uint64_t received = 0;
+  w.clients[0]->setMulticastCallback(
+      [&received](const copss::MulticastPacket&, SimTime) { ++received; });
+
+  w.sim->scheduleAt(0, [&]() { w.clients[0]->subscribe(Name()); });
+  for (std::uint64_t s = 1; s <= 10; ++s) {
+    w.sim->scheduleAt(ms(50) + ms(2) * static_cast<SimTime>(s), [&w, s]() {
+      w.clients[1]->publish(Name::parse("/1/1"), 20, s);
+      w.clients[3]->publish(Name::parse("/1/2"), 20, s);
+    });
+  }
+  w.sim->run();
+  checker.finalAudit();
+
+  EXPECT_EQ(received, 20u);
+  EXPECT_TRUE(checker.ok()) << checker.reportText();
+  EXPECT_EQ(checker.stats().publicationsTracked, 20u);
+}
+
+// A face that delivered a publication counts as served with it: when a
+// second copy arrives over another face, the router does not send it back
+// over the first one.
+TEST(CopssRouter, ArrivalFaceCountsAsServed) {
+  LineWorld w(3);
+  w.singleRootRp(1);
+  DeliveryLog log;
+  log.attach(w);
+  w.sim->scheduleAt(0, [&]() {
+    w.clients[0]->subscribe(Name::parse("/1"));
+    w.clients[2]->subscribe(Name::parse("/1"));
+  });
+  const PacketPtr pub = makePacket<copss::MulticastPacket>(
+      std::vector<Name>{Name::parse("/1/1")}, 20, ms(100), 1, w.clientIds[1]);
+  // The same publication reaches router 1 from router 0, then from router 2.
+  w.sim->scheduleAt(ms(100), [&]() { w.routers[1]->handle(w.routerIds[0], pub); });
+  w.sim->scheduleAt(ms(200), [&]() { w.routers[1]->handle(w.routerIds[2], pub); });
+  w.sim->run();
+
+  EXPECT_EQ(w.routers[1]->multicastsForwarded(), 1u);  // to router 2 only
+  EXPECT_EQ(w.routers[1]->duplicatesSuppressed(), 1u);
+  EXPECT_TRUE(log.got(2, 1));
+  EXPECT_FALSE(log.got(0, 1));
+}
+
 TEST(CopssRouter, UnroutablePublicationIsCountedNotCrashed) {
   LineWorld w(2);
   // No assignment at all: the CD FIB is empty everywhere.

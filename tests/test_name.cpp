@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/hash_refcount.hpp"
@@ -163,65 +163,67 @@ TEST(NameTable, IsPrefixOfAgreesWithName) {
 }
 
 // ---------------------------------------------------------------------------
-// SeqWindow / SeqWindowMap / HashRefcountMap: randomized equivalence against
-// the reference ring + std container implementations they replaced. These
-// structures sit on dedup paths whose decisions are pinned by the golden
-// chaos trace, so any behavioral drift is a protocol change.
+// SeqWindow / HashRefcountMap: randomized equivalence against std container
+// references. These structures sit on dedup paths whose decisions are pinned
+// by the golden chaos trace, so any behavioral drift is a protocol change.
 // ---------------------------------------------------------------------------
 
-TEST(SeqWindow, MatchesRingPlusSetReference) {
-  for (const std::size_t window : {4ul, 64ul, 1024ul}) {
-    SeqWindow win(window);
-    std::unordered_set<std::uint64_t> refSeen;
-    std::vector<std::uint64_t> refRing(window, 0);
-    std::size_t refPos = 0;
-    Rng rng(1234 + window);
-    for (int i = 0; i < 20000; ++i) {
-      // Keyspace ~2x window: plenty of repeats, steady eviction churn.
-      const std::uint64_t seq = 1 + static_cast<std::uint64_t>(
-                                        rng.uniformInt(0, static_cast<std::int64_t>(window) * 2));
-      bool refDup = refSeen.count(seq) > 0;
-      if (!refDup) {
-        const std::uint64_t evicted = refRing[refPos];
-        if (evicted != 0) refSeen.erase(evicted);
-        refRing[refPos] = seq;
-        refPos = (refPos + 1) % refRing.size();
-        refSeen.insert(seq);
-      }
-      ASSERT_EQ(win.checkAndInsert(seq), refDup) << "window=" << window << " step " << i;
+// Windows reached through a SeqWindowTable, each checked against an exact
+// std::set of the seqs it reported new. The keys include the extremes a
+// router forms for a kInvalidNode publisher or kLocalFace, and enough others
+// to grow the table mid-run. Seqs mix reordering inside the span, jumps past
+// it, and arrivals exactly at its inner and outer edges.
+TEST(SeqWindow, MatchesSetReferenceWithinSpan) {
+  constexpr std::uint64_t kSpan = SeqWindow::kSpan;
+  struct Ref {
+    std::uint64_t top = 0;
+    std::set<std::uint64_t> reportedNew;
+  };
+  std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}, 0xFFFFFFFFFFFFFFFEULL,
+                                     0x00000000FFFFFFFFULL};
+  for (std::uint64_t k = 1; k <= 60; ++k) keys.push_back(k * 0x9e3779b97f4a7c15ULL);
+  std::vector<Ref> refs(keys.size());
+  SeqWindowTable table;
+  Rng rng(6479);
+  for (int i = 0; i < 200000; ++i) {
+    const auto k = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(keys.size()) - 1));
+    Ref& ref = refs[k];
+    // `back(d)`: d below the highest seq seen, floored at seq 1.
+    const auto back = [&ref](std::uint64_t d) { return ref.top > d ? ref.top - d : 1; };
+    const auto draw = [&rng](std::uint64_t lo, std::uint64_t hi) {
+      return static_cast<std::uint64_t>(
+          rng.uniformInt(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+    };
+    std::uint64_t seq = 0;
+    switch (rng.uniformInt(0, 6)) {
+      case 0: seq = ref.top + draw(1, 4); break;                  // advance
+      case 1: seq = ref.top + draw(5, kSpan - 1); break;          // advance within the span
+      case 2: seq = ref.top + draw(kSpan, 2 * kSpan); break;      // jump past the span
+      case 3: seq = back(kSpan - 1); break;                       // oldest tracked
+      case 4: seq = back(kSpan); break;                           // first untracked
+      default: seq = back(draw(0, kSpan + 8)); break;             // reordered
+    }
+    const bool tracked = seq > ref.top || ref.top - seq < kSpan;
+    const bool expectSeen = !tracked || ref.reportedNew.count(seq) > 0;
+    ASSERT_EQ(table.checkAndInsert(keys[k], seq), expectSeen)
+        << "key " << keys[k] << " seq " << seq << " top " << ref.top << " step " << i;
+    if (!expectSeen) {
+      ASSERT_TRUE(ref.reportedNew.insert(seq).second) << "seq " << seq << " reported new twice";
+      ref.top = std::max(ref.top, seq);
     }
   }
-}
-
-TEST(SeqWindowMap, MatchesRingPlusMapReference) {
-  // 128 stays within the initial lazy ring; 1024 forces ring growth (and the
-  // slot-index rebase that goes with it) mid-churn.
-  for (const std::size_t window : {128ul, 1024ul}) {
-  SeqWindowMap<std::vector<int>> map(window);
-  std::unordered_map<std::uint64_t, std::vector<int>> ref;
-  std::vector<std::uint64_t> refRing(window, 0);
-  std::size_t refPos = 0;
-  Rng rng(77 + window);
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t seq =
-        1 + static_cast<std::uint64_t>(rng.uniformInt(0, static_cast<std::int64_t>(window) * 3));
-    auto it = ref.find(seq);
-    if (it == ref.end()) {
-      const std::uint64_t evicted = refRing[refPos];
-      if (evicted != 0) ref.erase(evicted);
-      refRing[refPos] = seq;
-      refPos = (refPos + 1) % refRing.size();
-      it = ref.emplace(seq, std::vector<int>{}).first;
-    }
-    auto& val = map.at(seq);
-    ASSERT_EQ(val, it->second) << "step " << i;
-    if (rng.bernoulli(0.5)) {
-      const int face = static_cast<int>(rng.uniformInt(0, 8));
-      val.push_back(face);
-      it->second.push_back(face);
-    }
-  }
-  }
+  // The contract's edges on a bare window: seq 200 tracks 73..200 exactly.
+  SeqWindow win;
+  EXPECT_TRUE(win.empty());
+  EXPECT_FALSE(win.checkAndInsert(200));
+  EXPECT_FALSE(win.empty());
+  EXPECT_FALSE(win.checkAndInsert(200 - (kSpan - 1)));  // just inside: new
+  EXPECT_TRUE(win.checkAndInsert(200 - (kSpan - 1)));   // and now seen
+  EXPECT_TRUE(win.checkAndInsert(200 - kSpan));         // just outside: seen
+  EXPECT_FALSE(win.checkAndInsert(200 + kSpan));        // jump: new
+  EXPECT_TRUE(win.checkAndInsert(200));                 // fell out of the span
+  EXPECT_FALSE(win.checkAndInsert(201));                // never seen, inside
 }
 
 TEST(HashRefcountMap, MatchesUnorderedMapReference) {
