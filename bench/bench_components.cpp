@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/bloom.hpp"
 #include "common/name.hpp"
 #include "copss/packets.hpp"
 #include "copss/st.hpp"
@@ -34,27 +33,6 @@ void BM_NameHash(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(n.hash());
 }
 BENCHMARK(BM_NameHash);
-
-void BM_BloomAddRemove(benchmark::State& state) {
-  CountingBloomFilter bloom;
-  const auto cds = gameLeafCds();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    bloom.add(cds[i % cds.size()]);
-    bloom.remove(cds[i % cds.size()]);
-    ++i;
-  }
-}
-BENCHMARK(BM_BloomAddRemove);
-
-void BM_BloomContainsHashed(benchmark::State& state) {
-  CountingBloomFilter bloom;
-  const auto cds = gameLeafCds();
-  for (const auto& cd : cds) bloom.add(cd);
-  const std::uint64_t h = cds.front().hash();
-  for (auto _ : state) benchmark::DoNotOptimize(bloom.possiblyContains(h));
-}
-BENCHMARK(BM_BloomContainsHashed);
 
 // ST match on the hash-at-first-hop inputs the paper proposes, through the
 // one production path (the per-tick cache replays the repeated publication).

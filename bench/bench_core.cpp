@@ -163,6 +163,9 @@ Measurement runEventLoop(std::uint64_t totalEvents) {
 struct Fig6Result {
   Measurement timed;
   RunSummary summary;
+  // Process peak RSS right after the timed pass, before the audited pass's
+  // delivery ledger raises it.
+  long timedPeakRssKb = 0;
   // audited re-run
   bool auditOk = false;
   std::size_t auditViolations = 0;
@@ -170,6 +173,12 @@ struct Fig6Result {
   std::uint64_t publicationsTracked = 0;
   std::string auditReport;
 };
+
+long peakRssKb() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
 
 trace::Trace makeFig6Trace(const game::GameMap& map, const game::ObjectDatabase& db,
                            SimTime duration) {
@@ -199,6 +208,7 @@ Fig6Result runFig6(SimTime duration) {
     out.timed.wallSec = wallSeconds(t0, t1);
     out.timed.allocs = g_news - allocs0;
   }
+  out.timedPeakRssKb = peakRssKb();
 
   {  // audited pass: same world, InvariantChecker observing every packet.
     GCopssRunConfig g;
@@ -226,12 +236,6 @@ Fig6Result runFig6(SimTime duration) {
 }
 
 // ---- report ------------------------------------------------------------
-
-long peakRssKb() {
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;
-}
 
 void writeMeasurement(std::FILE* f, const char* key, const Measurement& m, bool trailingComma) {
   std::fprintf(f,
@@ -282,9 +286,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(fig6Duration / kSecond));
   std::fflush(stdout);
   const Fig6Result fig6 = runFig6(fig6Duration);
-  std::printf("      %.0f events/sec, %.1f ns/event, %.3f allocs/event, mean latency %.2f ms\n",
+  std::printf("      %.0f events/sec, %.1f ns/event, %.3f allocs/event, mean latency %.2f ms, "
+              "peak RSS %ld KB\n",
               fig6.timed.eventsPerSec(), fig6.timed.nsPerEvent(), fig6.timed.allocsPerEvent(),
-              fig6.summary.meanMs);
+              fig6.summary.meanMs, fig6.timedPeakRssKb);
   std::printf("      audit: %s (%llu audits, %llu publications tracked, %zu violations)\n",
               fig6.auditOk ? "clean" : "VIOLATIONS", static_cast<unsigned long long>(fig6.audits),
               static_cast<unsigned long long>(fig6.publicationsTracked), fig6.auditViolations);
@@ -306,6 +311,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"players\": 400,\n    \"sim_seconds\": %lld,\n",
                static_cast<long long>(fig6Duration / kSecond));
   writeMeasurement(f, "timed", fig6.timed, true);
+  std::fprintf(f, "    \"timed_peak_rss_kb\": %ld,\n", fig6.timedPeakRssKb);
   std::fprintf(f,
                "    \"deliveries\": %llu,\n"
                "    \"mean_latency_ms\": %.3f,\n"

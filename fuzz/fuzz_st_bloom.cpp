@@ -1,14 +1,17 @@
-// Harness 3: the subscription table's Bloom-soundness invariant under
-// arbitrary op sequences. Input bytes drive subscribe / unsubscribe / prune /
-// match ops over a small face universe and a shared-prefix name pool, against
-// a deliberately tiny Bloom filter (maximum collision pressure). After every
-// mutation:
-//   * soundness — every live exact subscription still probes true in its
-//     face's counting Bloom filter (the invariant src/check audits in-world);
+// Harness 3: the subscription table's Bloom filters under arbitrary op
+// sequences. Input bytes drive subscribe / unsubscribe / prune / match ops
+// over a small face universe and a shared-prefix name pool, against a
+// deliberately tiny Bloom filter (maximum collision pressure). After every
+// op:
+//   * exactness — every face's filter answers every pool name exactly as a
+//     filter rebuilt from the face's live CDs would (modelMightContain in
+//     tests/st_oracle.hpp): no false negative, so every live subscription
+//     passes (the soundness src/check audits in-world), and no bit left
+//     behind by a CD that has gone;
 //   * differential match — the one match path, fed the prefix hashes a real
 //     MulticastPacket would carry, returns the same faces in the same order
 //     and charges the same Bloom false positives as the scalar reference
-//     model (tests/st_oracle.hpp), on the sweep and again on the cache hit;
+//     model (tests/st_oracle.hpp), on the walk and again on the cache hit;
 //   * refcount bookkeeping — subscribe/unsubscribe return values agree with
 //     an independent shadow multiset.
 // Violations abort() so the fuzzer records the input.
@@ -54,11 +57,16 @@ std::vector<Name> makePool() {
   return pool;
 }
 
-void checkSoundness(const copss::SubscriptionTable& st) {
+void checkExactness(const copss::SubscriptionTable& st, const std::vector<Name>& pool) {
   for (NodeId face = 0; face < kFaces; ++face) {
     for (const Name& cd : st.cdsOnFace(face)) {
       if (!st.bloomMightContain(face, cd)) {
         fail("live subscription probes false in Bloom filter");
+      }
+    }
+    for (const Name& cd : pool) {
+      if (st.bloomMightContain(face, cd) != test::modelMightContain(st, face, cd)) {
+        fail("Bloom filter differs from one rebuilt from the face's live CDs");
       }
     }
   }
@@ -69,7 +77,7 @@ void checkDifferential(const copss::SubscriptionTable& st,
   // prefixHashes exactly as a decoded MulticastPacket would carry them.
   const auto m = makePacket<copss::MulticastPacket>(cds, 0, 0, 0, 0);
   const test::OracleMatch want = test::oracleMatch(st, cds, exclude);
-  for (int pass = 0; pass < 2; ++pass) {  // sweep, then (usually) a cache hit
+  for (int pass = 0; pass < 2; ++pass) {  // walk, then (usually) a cache hit
     std::vector<NodeId> got;
     const std::uint64_t fpBefore = st.bloomFalsePositives();
     st.matchFacesHashedInto(cds, m->prefixHashes, m->matchKey, exclude, got);
@@ -126,7 +134,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       }
     }
 
-    checkSoundness(st);
+    checkExactness(st, pool);
 
     // Shadow agreement: the table's exact view must equal the model's.
     std::size_t shadowEntries = 0;

@@ -5,9 +5,10 @@ Compares a fresh `bench_core --quick` run against the committed baseline
 (BENCH_core.json, field "quick_reference") and fails if events/sec on either
 workload regressed more than the threshold (default 20%), if the fig6 run
 broke an invariant (audit not ok: leaked packets, missed or duplicated
-deliveries), if its delivery audit tracked no publication at all, or if
-allocations/event crept back up on the pure event loop or on fig6. The
-allocation counts are deterministic properties, not rates, so they get
+deliveries), if its delivery audit tracked no publication at all, if
+allocations/event crept back up on the pure event loop or on fig6, or if the
+peak RSS after fig6's timed pass outgrew its per-mode bound. The allocation
+counts and the footprint are properties of the code, not rates, so they get
 absolute bounds rather than ratios.
 
 With --parallel-fresh it additionally gates the multithreaded DES engine
@@ -61,6 +62,12 @@ MAX_LOOP_ALLOCS_PER_EVENT = 0.01
 # 0.17 with per-publisher dedup windows; the hashed seq rings they replaced
 # counted 0.82.
 MAX_FIG6_ALLOCS_PER_EVENT = 0.3
+# Process peak RSS right after fig6's timed pass (the audited pass after it
+# holds a delivery ledger and is not bounded), in MiB per bench_core mode.
+# With one plain Bloom bit set per Subscription Table face, --quick peaks near
+# 48 and a full run near 87; counting filters plus a transposed per-router
+# index of them peaked near 86 and 126.
+MAX_FIG6_TIMED_RSS_MIB = {"quick": 70, "full": 110}
 
 
 def rate(section):
@@ -98,6 +105,19 @@ def check(fresh, base, threshold):
         failures.append(
             f"fig6 allocates more: {fig6_ape:.4f} allocs/event "
             f"(bound {MAX_FIG6_ALLOCS_PER_EVENT})")
+
+    mode = fresh.get("mode")
+    rss_kb = fresh["fig6"].get("timed_peak_rss_kb")
+    if mode not in MAX_FIG6_TIMED_RSS_MIB or rss_kb is None:
+        failures.append(f"fig6 timed peak RSS not gated: mode {mode!r}, "
+                        f"timed_peak_rss_kb {rss_kb!r}")
+    else:
+        rss_mib = rss_kb / 1024
+        bound = MAX_FIG6_TIMED_RSS_MIB[mode]
+        print(f"fig6 timed peak RSS: {rss_mib:.1f} MiB (bound {bound} MiB, {mode})")
+        if rss_mib > bound:
+            failures.append(f"fig6 timed pass peaks at {rss_mib:.1f} MiB RSS "
+                            f"(bound {bound} MiB for a {mode} run)")
 
     audit = fresh["fig6"]["audit"]
     tracked = audit.get("publications_tracked", 0)

@@ -223,8 +223,8 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
   std::vector<NodeId> faces = std::move(matchScratch_);
   // Batch point of the publish fan-out (DESIGN.md §4e): the packet carries
   // its folded prefix-hash key, so publications sharing a CD set within a
-  // tick replay this hop's whole match from the ST's cache; misses run the
-  // word-parallel bit-plane sweep.
+  // tick replay this hop's whole match from the ST's cache; misses walk the
+  // faces' Bloom bits.
   st_.matchFacesHashedInto(mcast.cds, mcast.prefixHashes, mcast.matchKey, excludeFace, faces);
   // Transient overlapping trees (during migration, or coarse subscriptions
   // spanning multiple RPs) can deliver a publication here more than once;

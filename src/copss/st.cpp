@@ -1,6 +1,8 @@
 #include "copss/st.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 
 #include "common/thread_annotations.hpp"
 #include "copss/packets.hpp"
@@ -8,7 +10,9 @@
 namespace gcopss::copss {
 
 SubscriptionTable::SubscriptionTable(Options opts)
-    : opts_(opts), probes_(opts.bloomBits, opts.bloomHashes), cache_(kCacheLines) {}
+    : opts_(opts), probes_(opts.bloomBits, opts.bloomHashes), cache_(kCacheLines) {
+  assert(opts.bloomBits > 0 && opts.bloomHashes > 0);
+}
 
 // --- per-face exact store ---------------------------------------------------
 
@@ -37,84 +41,25 @@ bool SubscriptionTable::heldElsewhere(NodeId face, const Name& cd, std::uint64_t
   return false;
 }
 
-// --- plane index maintenance -------------------------------------------------
-// All of this runs on the control plane (subscribe/unsubscribe/prune), never
-// per packet; the cold markers double as gcopss-tidy hot-alloc barriers.
+// --- per-face Bloom bits ------------------------------------------------------
 
-GCOPSS_COLD void SubscriptionTable::attachSlot(FaceEntry& e) {
-  if (!freeSlots_.empty()) {
-    e.slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    slotEntry_[e.slot] = &e;  // column bits were scrubbed by releaseSlot
-    return;
-  }
-  e.slot = static_cast<std::uint32_t>(slotEntry_.size());
-  slotEntry_.push_back(&e);
-  if (slotEntry_.size() > planeWords_ * 64) rebuildPlanes();
+bool SubscriptionTable::bloomPasses(const FaceEntry& e, std::uint64_t h) const {
+  return probes_.forEachProbeWhile(
+      h, [&e](std::size_t idx) { return ((e.bloom[idx / 64] >> (idx % 64)) & 1) != 0; });
 }
 
-GCOPSS_COLD void SubscriptionTable::rebuildPlanes() {
-  planeWords_ = (slotEntry_.size() + 63) / 64;
-  if (planeWords_ == 0) planeWords_ = 1;
-  planes_.assign(opts_.bloomBits * planeWords_, 0);
-  prunedMask_.assign(planeWords_, 0);
-  sweepHit_.assign(planeWords_, 0);
-  sweepMatched_.assign(planeWords_, 0);
-  for (std::uint32_t s = 0; s < slotEntry_.size(); ++s) {
-    const FaceEntry* e = slotEntry_[s];
-    if (e == nullptr) continue;
-    const std::uint64_t bit = 1ull << (s % 64);
-    const std::size_t w = s / 64;
-    for (std::size_t idx = 0; idx < opts_.bloomBits; ++idx) {
-      if (e->bloom.counterAt(idx) != 0) planes_[idx * planeWords_ + w] |= bit;
+void SubscriptionTable::resyncBits(FaceEntry& e, const Name& gone) {
+  const std::uint64_t h = gone.hash();
+  probes_.forEachProbe(h, [&](std::size_t idx) {
+    bool live = false;
+    for (const Sub& s : e.subs) {
+      if (s.hash == h && s.cd == gone) continue;
+      live = !probes_.forEachProbeWhile(s.hash, [idx](std::size_t j) { return j != idx; });
+      if (live) break;
     }
-    if (!e->pruned.empty()) prunedMask_[w] |= bit;
-  }
-}
-
-GCOPSS_COLD void SubscriptionTable::releaseSlot(FaceEntry& e) {
-  const std::uint64_t bit = 1ull << (e.slot % 64);
-  const std::size_t w = e.slot / 64;
-  for (std::size_t idx = 0; idx < opts_.bloomBits; ++idx) {
-    planes_[idx * planeWords_ + w] &= ~bit;
-  }
-  if (prunedMask_[w] & bit) {
-    prunedMask_[w] &= ~bit;
-    --prunedFaces_;
-  }
-  slotEntry_[e.slot] = nullptr;
-  freeSlots_.push_back(e.slot);
-}
-
-void SubscriptionTable::syncPlanes(const FaceEntry& e, std::uint64_t nameHash) {
-  const std::uint64_t bit = 1ull << (e.slot % 64);
-  const std::size_t w = e.slot / 64;
-  // Re-derive each touched bit from the counter rather than mirroring the
-  // operation: add() saturates and remove() guards/never-decrements-0xff, so
-  // "counter non-zero" is the only transition rule that is always right.
-  e.bloom.forEachProbe(nameHash, [&](std::size_t idx) {
-    std::uint64_t& word = planes_[idx * planeWords_ + w];
-    if (e.bloom.counterAt(idx) != 0) {
-      word |= bit;
-    } else {
-      word &= ~bit;
-    }
+    const std::uint64_t bit = 1ull << (idx % 64);
+    e.bloom[idx / 64] = live ? e.bloom[idx / 64] | bit : e.bloom[idx / 64] & ~bit;
   });
-}
-
-void SubscriptionTable::updatePrunedBit(const FaceEntry& e) {
-  const std::uint64_t bit = 1ull << (e.slot % 64);
-  const std::size_t w = e.slot / 64;
-  const bool now = !e.pruned.empty();
-  const bool was = (prunedMask_[w] & bit) != 0;
-  if (now == was) return;
-  if (now) {
-    prunedMask_[w] |= bit;
-    ++prunedFaces_;
-  } else {
-    prunedMask_[w] &= ~bit;
-    --prunedFaces_;
-  }
 }
 
 // --- subscription state ---------------------------------------------------
@@ -122,8 +67,7 @@ void SubscriptionTable::updatePrunedBit(const FaceEntry& e) {
 bool SubscriptionTable::subscribe(NodeId face, const Name& cd) {
   auto it = table_.find(face);
   if (it == table_.end()) {
-    it = table_.emplace(face, FaceEntry(opts_.bloomBits, opts_.bloomHashes)).first;
-    attachSlot(it->second);
+    it = table_.emplace(face, FaceEntry(opts_.bloomBits)).first;
   }
   FaceEntry& e = it->second;
   const std::uint64_t h = cd.hash();
@@ -131,14 +75,12 @@ bool SubscriptionTable::subscribe(NodeId face, const Name& cd) {
   const bool fresh = i == e.subs.size();
   if (fresh) {
     e.subs.insert(e.lowerBound(h), Sub{h, cd, 1});
-    e.bloom.add(h);
-    syncPlanes(e, h);
+    probes_.forEachProbe(h, [&e](std::size_t idx) { e.bloom[idx / 64] |= 1ull << (idx % 64); });
   } else {
     ++e.subs[i].refs;
   }
   // A fresh subscription clears prunes of this CD and of anything below it.
   std::erase_if(e.pruned, [&cd](const Name& p) { return cd.isPrefixOf(p); });
-  updatePrunedBit(e);
   bumpVersion();
   return fresh && !heldElsewhere(face, cd, h);
 }
@@ -152,13 +94,9 @@ bool SubscriptionTable::unsubscribe(NodeId face, const Name& cd) {
   if (i == e.subs.size()) return false;
   const bool gone = --e.subs[i].refs == 0;
   if (gone) {
+    resyncBits(e, cd);
     e.subs.erase(e.subs.begin() + static_cast<std::ptrdiff_t>(i));
-    e.bloom.remove(h);
-    syncPlanes(e, h);
-    if (e.subs.empty()) {
-      releaseSlot(e);
-      table_.erase(it);
-    }
+    if (e.subs.empty()) table_.erase(it);
   }
   bumpVersion();
   return gone && !heldElsewhere(face, cd, h);
@@ -201,7 +139,7 @@ GCOPSS_HOT void SubscriptionTable::matchFacesHashedInto(const std::vector<Name>&
   }
   ++cacheMisses_;
   const std::uint64_t fpBefore = bloomFalsePositives_;
-  sweepMatchInto(cds, prefixHashes, excludeFace, out);
+  walkMatchInto(cds, prefixHashes, excludeFace, out);
   line.key = tag;
   line.version = version_;
   line.fpHits = static_cast<std::uint32_t>(bloomFalsePositives_ - fpBefore);
@@ -213,81 +151,44 @@ GCOPSS_HOT void SubscriptionTable::matchFacesHashedInto(const std::vector<Name>&
   }
 }
 
-GCOPSS_HOT void SubscriptionTable::sweepMatchInto(const std::vector<Name>& cds,
-                                       const std::vector<std::uint64_t>& prefixHashes,
-                                       NodeId excludeFace, std::vector<NodeId>& out) const {
-  const std::size_t W = planeWords_;
-  for (std::size_t w = 0; w < W; ++w) sweepMatched_[w] = 0;
-  // The arrival face is never evaluated: count it as matched up front.
-  if (excludeFace != kInvalidNode) {
-    const auto it = table_.find(excludeFace);
-    if (it != table_.end()) sweepMatched_[it->second.slot / 64] |= 1ull << (it->second.slot % 64);
-  }
-  // Prunes: per carried CD, the faces that pruned exactly that CD skip its
-  // whole run of prefix hashes. A CD's own hash ends its run, so no Name is
-  // hashed here (packet Names are shared across shards).
-  const bool prunes = prunedFaces_ > 0;
-  if (prunes) {
-    sweepPruned_.assign(cds.size() * W, 0);
-    std::size_t runEnd = 0;
-    for (std::size_t i = 0; i < cds.size(); ++i) {
-      runEnd += cds[i].size() + 1;
-      const std::uint64_t cdHash = prefixHashes[runEnd - 1];
-      for (std::size_t w = 0; w < W; ++w) {
-        for (std::uint64_t bits = prunedMask_[w]; bits != 0; bits &= bits - 1) {
-          const FaceEntry* e = slotEntry_[w * 64 + static_cast<unsigned>(__builtin_ctzll(bits))];
-          for (const Name& p : e->pruned) {
-            if (p.hash() == cdHash) sweepPruned_[i * W + w] |= bits & (~bits + 1);
-          }
-        }
-      }
-    }
-  }
-  std::size_t cd = 0;  // carried CD whose run holds hash j (tracked with prunes)
-  std::size_t runEnd = prunes && !cds.empty() ? cds[0].size() + 1 : prefixHashes.size();
-  for (std::size_t j = 0; j < prefixHashes.size(); ++j) {
-    if (j == runEnd) runEnd += cds[++cd].size() + 1;
-    const std::uint64_t h = prefixHashes[j];
-    // AND the k plane rows for this hash: a face's bit survives iff all of
-    // its counters at the probe positions are non-zero — exactly
-    // possiblyContains(h) for every face at once, one word per 64 faces.
-    bool first = true;
-    const bool candidates = probes_.forEachProbeWhile(h, [&](std::size_t idx) {
-      const std::uint64_t* row = &planes_[idx * W];
-      std::uint64_t any = 0;
-      for (std::size_t w = 0; w < W; ++w) {
-        const std::uint64_t v = first ? row[w] : (sweepHit_[w] & row[w]);
-        sweepHit_[w] = v;
-        any |= v;
-      }
-      first = false;
-      return any != 0;
-    });
-    if (!candidates) continue;
-    for (std::size_t w = 0; w < W; ++w) {
-      // A face is decided at its first passing hash, in prefix order.
-      std::uint64_t newly = sweepHit_[w] & ~sweepMatched_[w];
-      if (prunes) newly &= ~sweepPruned_[cd * W + w];
-      for (std::uint64_t bits = newly; bits != 0; bits &= bits - 1) {
-        const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
-        if (slotEntry_[w * 64 + b]->holds(h)) continue;
-        // Bloom mode: the face matches anyway, a false positive. Exact mode:
-        // it does not match at this level.
-        if (opts_.useBloom) {
-          ++bloomFalsePositives_;
-        } else {
-          newly &= ~(1ull << b);
-        }
-      }
-      sweepMatched_[w] |= newly;
-    }
-  }
-  // Emit in table_ (ascending face) order.
+GCOPSS_HOT void SubscriptionTable::walkMatchInto(const std::vector<Name>& cds,
+                                      const std::vector<std::uint64_t>& prefixHashes,
+                                      NodeId excludeFace, std::vector<NodeId>& out) const {
+  // Ascending face order, from the ordered table_; the arrival face is never
+  // evaluated, so it is never charged a false positive either.
   for (const auto& [face, e] : table_) {
-    if (face != excludeFace && (sweepMatched_[e.slot / 64] & (1ull << (e.slot % 64)))) {
-      out.push_back(face);
-    }
+    if (face != excludeFace && faceMatches(e, cds, prefixHashes)) out.push_back(face);
   }
+}
+
+GCOPSS_HOT bool SubscriptionTable::faceMatches(
+    const FaceEntry& e, const std::vector<Name>& cds,
+    const std::vector<std::uint64_t>& prefixHashes) const {
+  // Each carried CD owns a run of cd.size() + 1 prefix hashes ending in its
+  // own hash. A CD pruned on this face skips its whole run; the prune is
+  // found by that last hash, so no Name is hashed here (packet Names are
+  // shared across shards).
+  std::size_t runStart = 0;
+  for (const Name& cd : cds) {
+    const std::size_t runEnd = runStart + cd.size() + 1;
+    const std::uint64_t cdHash = prefixHashes[runEnd - 1];
+    const bool pruned = std::any_of(e.pruned.begin(), e.pruned.end(),
+                                    [cdHash](const Name& p) { return p.hash() == cdHash; });
+    for (std::size_t j = runStart; j < runEnd && !pruned; ++j) {
+      const std::uint64_t h = prefixHashes[j];
+      // The face is decided at its first passing hash, in prefix order. A
+      // pass the exact store does not back is a false positive in Bloom
+      // mode, and no match at this level in exact mode.
+      if (!bloomPasses(e, h)) continue;
+      if (e.holds(h)) return true;
+      if (opts_.useBloom) {
+        ++bloomFalsePositives_;
+        return true;
+      }
+    }
+    runStart = runEnd;
+  }
+  return false;
 }
 
 bool SubscriptionTable::hasIntersectingSubscription(const Name& cd) const {
@@ -306,9 +207,8 @@ void SubscriptionTable::prune(NodeId face, const Name& cd) {
   FaceEntry& e = it->second;
   if (std::find(e.pruned.begin(), e.pruned.end(), cd) == e.pruned.end()) {
     e.pruned.push_back(cd);
-    (void)e.pruned.back().hash();  // cache it for the sweep
+    (void)e.pruned.back().hash();  // cache it for the walk
   }
-  updatePrunedBit(e);
   bumpVersion();
 }
 
@@ -348,20 +248,22 @@ bool SubscriptionTable::bloomMightContain(NodeId face, const Name& cd) const {
   const auto it = table_.find(face);
   if (it == table_.end()) return false;
   if (!opts_.useBloom) return it->second.indexOf(cd, cd.hash()) != it->second.subs.size();
-  return it->second.bloom.possiblyContains(cd);
+  return bloomPasses(it->second, cd.hash());
 }
 
 double SubscriptionTable::predictedFalsePositiveRate(NodeId face) const {
   const auto it = table_.find(face);
   if (it == table_.end()) return 0.0;
-  return it->second.bloom.predictedFalsePositiveRate();
+  const double m = static_cast<double>(opts_.bloomBits);
+  const double n = static_cast<double>(it->second.subs.size());
+  const double k = static_cast<double>(opts_.bloomHashes);
+  return std::pow(1.0 - std::exp(-k * n / m), k);
 }
 
 void SubscriptionTable::corruptBloomForAudit(NodeId face, const Name& cd) {
   const auto it = table_.find(face);
   if (it == table_.end()) return;
-  it->second.bloom.remove(cd);
-  syncPlanes(it->second, cd.hash());
+  resyncBits(it->second, cd);
   bumpVersion();
 }
 

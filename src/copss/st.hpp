@@ -17,13 +17,15 @@ namespace gcopss::copss {
 // accounting, and an exact-match mode used by the ablation bench to quantify
 // Bloom false-positive leakage.
 //
-// One match path (DESIGN.md §4e): a transposed bit-plane index — for every
-// Bloom counter index, a word holding one bit per face, set iff that face's
-// counter is non-zero — swept word-parallel per prefix hash, fronted by a
-// version-invalidated per-tick match cache keyed by the publication's folded
-// prefix hashes. Migration prunes and exact mode are verdicts inside the same
-// sweep. Match sets, output order (ascending face) and bloomFalsePositives
-// are pinned against the scalar reference model in tests/st_oracle.hpp.
+// Each face's filter is a plain bit set derived from its exact store: a bit
+// is set iff some CD live on the face probes it, so Unsubscribe re-derives
+// only the departing CD's k bits (DESIGN.md §4e). One match path: a cache
+// miss walks the faces in ascending order, each face decided by the first
+// prefix hash its filter passes; a version-invalidated per-tick match cache
+// keyed by the publication's folded prefix hashes sits in front. Migration
+// prunes and exact mode are verdicts inside the same walk. Match sets, output
+// order and bloomFalsePositives are pinned against the scalar reference
+// model in tests/st_oracle.hpp.
 class SubscriptionTable {
  public:
   struct Options {
@@ -100,18 +102,10 @@ class SubscriptionTable {
   double predictedFalsePositiveRate(NodeId face) const;
 
   // TEST-ONLY: desynchronise `face`'s Bloom filter from its exact store by
-  // removing `cd` from the filter while the exact entry stays live — the
-  // corruption the ST-soundness invariant exists to catch. Never call this
-  // outside a negative test of the invariant checker. The bit-plane mirror
-  // follows the corruption, as it would any counter transition.
+  // re-deriving `cd`'s bits as if it had left while the exact entry stays
+  // live — the corruption the ST-soundness invariant exists to catch. Never
+  // call this outside a negative test of the invariant checker.
   void corruptBloomForAudit(NodeId face, const Name& cd);
-
-  // The plane index holds raw pointers into `table_` map nodes (stable
-  // under std::map moves, not under copies).
-  SubscriptionTable(const SubscriptionTable&) = delete;
-  SubscriptionTable& operator=(const SubscriptionTable&) = delete;
-  SubscriptionTable(SubscriptionTable&&) = default;
-  SubscriptionTable& operator=(SubscriptionTable&&) = default;
 
  private:
   static constexpr std::size_t kCacheLines = 256;  // direct-mapped, power of two
@@ -125,12 +119,11 @@ class SubscriptionTable {
   };
 
   struct FaceEntry {
-    CountingBloomFilter bloom;
+    std::vector<std::uint64_t> bloom;  // bloomBits bits: set iff a live CD probes it
     std::vector<Sub> subs;     // sorted by hash; a face holds a few dozen CDs
     std::vector<Name> pruned;  // exact CDs migration stopped on this face
-    std::uint32_t slot = 0;    // column in the bit-plane index (attachSlot)
 
-    FaceEntry(std::size_t bits, unsigned k) : bloom(bits, k) {}
+    explicit FaceEntry(std::size_t bits) : bloom((bits + 63) / 64, 0) {}
 
     // First Sub whose hash is not below `h`.
     std::vector<Sub>::const_iterator lowerBound(std::uint64_t h) const;
@@ -142,35 +135,25 @@ class SubscriptionTable {
   // Does any face other than `face` subscribe to `cd`?
   bool heldElsewhere(NodeId face, const Name& cd, std::uint64_t h) const;
 
-  // --- plane index maintenance (all control-plane / cold) ---
-  void attachSlot(FaceEntry& e);
-  void releaseSlot(FaceEntry& e);
-  void rebuildPlanes();
-  // Re-derive the plane bits for `e`'s column at every probe position of
-  // `nameHash` from the filter's counters — correct after any add/remove,
-  // including saturated and guarded (no-op) ones.
-  void syncPlanes(const FaceEntry& e, std::uint64_t nameHash);
-  void updatePrunedBit(const FaceEntry& e);
+  // Does `e`'s filter pass `h` (all k probe bits set)?
+  bool bloomPasses(const FaceEntry& e, std::uint64_t h) const;
+  // Re-derive the bits at `gone`'s probe positions from the CDs on `e` other
+  // than `gone` (told apart by Name, so a CD sharing its hash keeps its bits).
+  void resyncBits(FaceEntry& e, const Name& gone);
   void bumpVersion() { ++version_; }
 
-  // The word-parallel sweep (cache miss).
-  void sweepMatchInto(const std::vector<Name>& cds,
-                      const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
-                      std::vector<NodeId>& out) const;
+  // The per-face walk (cache miss), and its verdict for one face.
+  void walkMatchInto(const std::vector<Name>& cds,
+                     const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
+                     std::vector<NodeId>& out) const;
+  bool faceMatches(const FaceEntry& e, const std::vector<Name>& cds,
+                   const std::vector<std::uint64_t>& prefixHashes) const;
 
   Options opts_;
   std::map<NodeId, FaceEntry> table_;  // ordered for deterministic iteration
+  BloomProbeSchedule probes_;          // the probe geometry of every face filter
   mutable std::uint64_t bloomFalsePositives_ = 0;
-
-  // --- transposed bit-plane index ---
-  BloomProbeSchedule probes_;          // same geometry as every face filter
-  std::size_t planeWords_ = 0;         // 64-face words per counter row
-  std::vector<std::uint64_t> planes_;  // bloomBits rows x planeWords_ words
-  std::vector<const FaceEntry*> slotEntry_;  // column -> face entry (null = free)
-  std::vector<std::uint32_t> freeSlots_;
-  std::vector<std::uint64_t> prunedMask_;  // columns with active prunes
-  std::size_t prunedFaces_ = 0;            // faces with a non-empty prune set
-  std::uint64_t version_ = 0;              // bumped on any mutation
+  std::uint64_t version_ = 0;          // bumped on any mutation
 
   // --- per-tick match cache (publications sharing a CD set at one hop) ---
   struct CacheLine {
@@ -188,11 +171,6 @@ class SubscriptionTable {
   mutable std::vector<CacheLine> cache_;
   mutable std::uint64_t cacheHits_ = 0;
   mutable std::uint64_t cacheMisses_ = 0;
-
-  // Sweep scratch, capacity-recycled across calls.
-  mutable std::vector<std::uint64_t> sweepHit_;
-  mutable std::vector<std::uint64_t> sweepMatched_;
-  mutable std::vector<std::uint64_t> sweepPruned_;  // per carried CD: faces skipping it
 };
 
 }  // namespace gcopss::copss

@@ -1,16 +1,21 @@
 #include "gcopss/client.hpp"
 
+#include <algorithm>
+
 namespace gcopss::gc {
 
 void GCopssClient::subscribe(const Name& cd) {
   if (!subscriptions_.insert(cd).second) return;
-  subscriptionHashes_.increment(cd.hash());
+  const std::uint64_t h = cd.hash();
+  subscriptionHashes_.insert(
+      std::upper_bound(subscriptionHashes_.begin(), subscriptionHashes_.end(), h), h);
   send(edgeFace_, makePacket<copss::SubscribePacket>(cd));
 }
 
 void GCopssClient::unsubscribe(const Name& cd) {
   if (subscriptions_.erase(cd) == 0) return;
-  subscriptionHashes_.decrement(cd.hash());
+  subscriptionHashes_.erase(
+      std::lower_bound(subscriptionHashes_.begin(), subscriptionHashes_.end(), cd.hash()));
   send(edgeFace_, makePacket<copss::UnsubscribePacket>(cd));
 }
 
@@ -75,7 +80,9 @@ bool GCopssClient::matchesSubscription(const copss::MulticastPacket& mcast) cons
   // A subscribed CD matching any prefix level of a carried CD means this
   // publication is in view.
   for (std::uint64_t h : mcast.prefixHashes) {
-    if (subscriptionHashes_.contains(h)) return true;
+    if (std::binary_search(subscriptionHashes_.begin(), subscriptionHashes_.end(), h)) {
+      return true;
+    }
   }
   return false;
 }

@@ -5,8 +5,8 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
-#include "common/hash_refcount.hpp"
 #include "common/seq_window.hpp"
 #include "copss/packets.hpp"
 #include "game/objects.hpp"
@@ -107,9 +107,10 @@ class GCopssClient : public Node {
 
   NodeId edgeFace_;
   std::set<Name> subscriptions_;
-  // Hashes of subscribed CDs (refcounted): a publication matches iff one of
-  // its prefix hashes is subscribed — the same hash-only test routers use.
-  HashRefcountMap subscriptionHashes_;
+  // Hashes of subscribed CDs, sorted, one entry per CD (a 64-bit collision
+  // leaves two equal entries): a publication matches iff one of its prefix
+  // hashes is subscribed — the same hash-only test routers use.
+  std::vector<std::uint64_t> subscriptionHashes_;
   // One anti-replay window per publisher heard (contract above, beside
   // ReliableOptions). Duplicates only occur transiently, during RP migration
   // and retransmission, so each publisher needs only its recent seqs.

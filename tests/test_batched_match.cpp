@@ -1,12 +1,13 @@
 // Subscription Table match-path suite (DESIGN.md §4e).
 //
-// The one production match — bit-plane sweep behind the per-tick cache,
+// The one production match — the per-face walk behind the per-tick cache,
 // SubscriptionTable::matchFacesHashedInto — must be *byte-identical* to the
 // scalar reference model in st_oracle.hpp: same match set, same output
-// order, same bloomFalsePositives accounting — under churn, prunes, slot
-// reuse across the 64-face word boundary, saturated Bloom counters and exact
-// (useBloom=false) mode. Every check runs the publication twice: the repeat
-// must be a cache hit that replays the same faces and false-positive delta.
+// order, same bloomFalsePositives accounting — under churn, prunes, faces
+// leaving and returning, undersized filters and exact (useBloom=false) mode.
+// Every check runs the publication twice: the repeat must be a cache hit
+// that replays the same faces and false-positive delta. Each face's filter
+// must also equal the model's filter rebuilt from the face's live CDs.
 //
 // The last tests close the loop end-to-end: whole-sim runs must produce
 // identical RunSummary digests on the serial and the sharded engine, and the
@@ -82,17 +83,42 @@ void expectMatchesOracle(const SubscriptionTable& st, const Pub& pub, NodeId exc
   }
 }
 
-// 70 faces forces planeWords_ > 1 (the index crosses the 64-face word
-// boundary), so the sweep's per-word loop and slot-column mapping both get
-// exercised, not just word 0.
+// Every face's filter answers every name in `names` as the model's does.
+void expectFiltersMatchModel(const SubscriptionTable& st, const std::vector<Name>& names) {
+  for (NodeId face : st.faces()) {
+    for (const Name& cd : names) {
+      ASSERT_EQ(st.bloomMightContain(face, cd), modelMightContain(st, face, cd))
+          << "face " << face << " filter diverged from its live CDs on " << cd.toString();
+    }
+  }
+}
+
+// Every CD randomCd can draw, plus every prefix level of one.
+std::vector<Name> cdUniverse(std::uint64_t groups = 8) {
+  std::vector<Name> out{Name()};
+  for (std::uint64_t a = 0; a < groups; ++a) {
+    const Name g = Name::parse("/g" + std::to_string(a));
+    out.push_back(g);
+    for (int b = 0; b < 4; ++b) {
+      const Name r = g.append("r" + std::to_string(b));
+      out.push_back(r);
+      for (int c = 0; c < 3; ++c) out.push_back(r.append("c" + std::to_string(c)));
+    }
+  }
+  return out;
+}
+
+// 70 faces: more than a router holds, so the walk and the cache see wide
+// face lists (past the cache line's 12 inline faces) as well as short ones.
 constexpr NodeId kFaces = 70;
 
 TEST(BatchedMatch, RandomChurnMatchesScalarOracle) {
   SubscriptionTable st;
   Lcg rng(2026);
+  const std::vector<Name> universe = cdUniverse();
 
   // (face, cd) pairs we know are live, so unsubscribes hit real entries.
-  // A sprinkle of prunes keeps migration leftovers on both plane words.
+  // A sprinkle of prunes keeps migration leftovers on many faces.
   std::vector<std::pair<NodeId, Name>> live;
   for (int round = 0; round < 40; ++round) {
     for (int op = 0; op < 25; ++op) {
@@ -115,11 +141,12 @@ TEST(BatchedMatch, RandomChurnMatchesScalarOracle) {
           rng.below(4) == 0 ? static_cast<NodeId>(rng.below(kFaces)) : kInvalidNode;
       expectMatchesOracle(st, randomPub(rng), exclude);
     }
+    expectFiltersMatchModel(st, universe);
   }
 }
 
 TEST(BatchedMatch, PrunedFacesMatchScalarOracle) {
-  // Pruned faces are masked per carried CD inside the sweep, and the cache
+  // A face skips each carried CD it pruned inside the walk, and the cache
   // stays on: the output must still be byte-identical to the oracle.
   SubscriptionTable st;
   Lcg rng(7);
@@ -201,8 +228,8 @@ TEST(BatchedMatch, MutationInvalidatesCache) {
 }
 
 TEST(BatchedMatch, SlotReuseAfterFaceRemoval) {
-  // Kill entire faces (slot release) and add new ones (slot reuse, including
-  // reuse of freed columns) while matching stays equivalent throughout.
+  // Kill entire faces and bring them back while matching stays equivalent
+  // throughout: a returning face starts from an empty filter.
   SubscriptionTable st;
   Lcg rng(11);
   for (NodeId f = 0; f < kFaces; ++f) {
@@ -213,7 +240,7 @@ TEST(BatchedMatch, SlotReuseAfterFaceRemoval) {
     for (NodeId f = 0; f < kFaces; ++f) {
       if (rng.below(3) == 0) st.unsubscribe(f, Name::parse("/g" + std::to_string(f % 8)));
     }
-    // ...and repopulate (some of these land in freed columns).
+    // ...and repopulate.
     for (NodeId f = 0; f < kFaces; ++f) {
       if (!st.faceSubscribed(f, Name::parse("/g" + std::to_string(f % 8)))) {
         st.subscribe(f, Name::parse("/g" + std::to_string(f % 8)));
@@ -223,11 +250,11 @@ TEST(BatchedMatch, SlotReuseAfterFaceRemoval) {
   }
 }
 
-TEST(BatchedMatch, TinySaturatedFilterStaysEquivalent) {
-  // A deliberately undersized filter (64 counters, 2 hashes) saturates its
-  // 8-bit counters and rains false positives; syncPlanes re-derives plane
-  // bits from the counters, so even this pathological table must match the
-  // oracle bit-for-bit — including the FP counter.
+TEST(BatchedMatch, TinyFilterStaysEquivalent) {
+  // A deliberately undersized filter (64 bits, 2 hashes, ~100 CDs per face)
+  // sets nearly every bit and rains false positives; unsubscribes re-derive
+  // only the departing CD's bits, so even this pathological table must match
+  // the oracle bit-for-bit — including the FP counter — all the way down.
   SubscriptionTable::Options opts;
   opts.bloomBits = 64;
   opts.bloomHashes = 2;
@@ -243,7 +270,7 @@ TEST(BatchedMatch, TinySaturatedFilterStaysEquivalent) {
     live.emplace_back(face, std::move(cd));
   }
   for (int p = 0; p < 40; ++p) expectMatchesOracle(st, randomPub(rng, 4), kInvalidNode);
-  // Drain back down through the saturation boundary.
+  // Drain back down to an empty table.
   while (!live.empty()) {
     const auto pick = rng.below(live.size());
     st.unsubscribe(live[pick].first, live[pick].second);
@@ -251,12 +278,46 @@ TEST(BatchedMatch, TinySaturatedFilterStaysEquivalent) {
     live.pop_back();
     if (live.size() % 97 == 0) {
       for (int p = 0; p < 5; ++p) expectMatchesOracle(st, randomPub(rng, 4), kInvalidNode);
+      expectFiltersMatchModel(st, cdUniverse(4));
     }
   }
 }
 
+TEST(BatchedMatch, FilterForgetsLeftSubscriptions) {
+  // Two bits, one probe: an anchor CD on bit 1 keeps the face alive while
+  // 300 CDs pile onto bit 0. Once all 300 leave, bit 0 must be clear again —
+  // a filter that counted them in 8 bits would stick at 255 and keep passing
+  // every name on bit 0 for as long as the face lives.
+  SubscriptionTable::Options opts;
+  opts.bloomBits = 2;
+  opts.bloomHashes = 1;
+  SubscriptionTable st(opts);
+  const BloomProbeSchedule probes(opts.bloomBits, opts.bloomHashes);
+  const auto bitOf = [&probes](const Name& n) {
+    std::size_t bit = 0;
+    probes.forEachProbe(n.hash(), [&bit](std::size_t idx) { bit = idx; });
+    return bit;
+  };
+  std::vector<Name> onBit[2];
+  for (int i = 0; onBit[0].size() < 301 || onBit[1].empty(); ++i) {
+    const Name n = Name::parse("/f/" + std::to_string(i));
+    onBit[bitOf(n)].push_back(n);
+  }
+  const Name anchor = onBit[1].front();
+  const Name fresh = onBit[0].back();
+  st.subscribe(1, anchor);
+  for (std::size_t i = 0; i < 300; ++i) st.subscribe(1, onBit[0][i]);
+  ASSERT_TRUE(st.bloomMightContain(1, fresh)) << "bit 0 is set while its CDs are live";
+
+  for (std::size_t i = 0; i < 300; ++i) st.unsubscribe(1, onBit[0][i]);
+  ASSERT_EQ(st.cdsOnFace(1), std::vector<Name>{anchor});
+  EXPECT_TRUE(st.bloomMightContain(1, anchor));
+  EXPECT_FALSE(st.bloomMightContain(1, fresh)) << "bit 0 outlived every CD that set it";
+  EXPECT_FALSE(modelMightContain(st, 1, fresh));
+}
+
 TEST(BatchedMatch, ExactModeMatchesOracle) {
-  // useBloom=false (bench_ablation's exact mode) runs in the same sweep: a
+  // useBloom=false (bench_ablation's exact mode) runs in the same walk: a
   // Bloom candidate matches only if its exact store holds the hash, and no
   // false positive is ever charged — prunes and exclusion included.
   SubscriptionTable::Options opts;

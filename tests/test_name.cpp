@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hash_refcount.hpp"
 #include "common/name.hpp"
 #include "common/name_table.hpp"
 #include "common/rng.hpp"
@@ -163,9 +162,9 @@ TEST(NameTable, IsPrefixOfAgreesWithName) {
 }
 
 // ---------------------------------------------------------------------------
-// SeqWindow / HashRefcountMap: randomized equivalence against std container
-// references. These structures sit on dedup paths whose decisions are pinned
-// by the golden chaos trace, so any behavioral drift is a protocol change.
+// SeqWindow: randomized equivalence against a std container reference. It
+// sits on dedup paths whose decisions are pinned by the golden chaos trace,
+// so any behavioral drift is a protocol change.
 // ---------------------------------------------------------------------------
 
 // Windows reached through a SeqWindowTable, each checked against an exact
@@ -224,35 +223,6 @@ TEST(SeqWindow, MatchesSetReferenceWithinSpan) {
   EXPECT_FALSE(win.checkAndInsert(200 + kSpan));        // jump: new
   EXPECT_TRUE(win.checkAndInsert(200));                 // fell out of the span
   EXPECT_FALSE(win.checkAndInsert(201));                // never seen, inside
-}
-
-TEST(HashRefcountMap, MatchesUnorderedMapReference) {
-  HashRefcountMap map;
-  std::unordered_map<std::uint64_t, std::uint32_t> ref;
-  Rng rng(4242);
-  for (int i = 0; i < 20000; ++i) {
-    // Include key 0 in the space: real name hashes can be any value.
-    const auto key = static_cast<std::uint64_t>(rng.uniformInt(0, 300));
-    switch (rng.uniformInt(0, 2)) {
-      case 0:
-        ASSERT_EQ(map.increment(key), ++ref[key]);
-        break;
-      case 1: {
-        std::uint32_t expected = 0;
-        const auto it = ref.find(key);
-        if (it != ref.end()) {
-          expected = --it->second;
-          if (it->second == 0) ref.erase(it);
-        }
-        ASSERT_EQ(map.decrement(key), expected);
-        break;
-      }
-      default:
-        ASSERT_EQ(map.contains(key), ref.count(key) > 0);
-        break;
-    }
-    ASSERT_EQ(map.empty(), ref.empty());
-  }
 }
 
 }  // namespace
