@@ -331,10 +331,7 @@ std::vector<Name> InvariantChecker::probeSet() const {
   std::set<Name> probes(opts_.extraProbes.begin(), opts_.extraProbes.end());
   for (copss::CopssRouter* r : routers_) {
     if (!liveRouter(r)) continue;
-    for (const auto& [prefix, faces] : r->cdFib().entries()) {
-      (void)faces;
-      probes.insert(prefix);
-    }
+    for (const Name& prefix : r->cdFib().prefixes()) probes.insert(prefix);
     for (const Name& p : r->rpPrefixes()) probes.insert(p);
   }
   for (const auto& [key, rec] : pubs_) {

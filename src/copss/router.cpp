@@ -30,7 +30,6 @@ void CopssRouter::becomeRp(const Name& prefix) {
 void CopssRouter::becomeRp(const Name& prefix, std::uint64_t epoch) {
   cdFib_.removePrefix(prefix);
   cdFib_.insert(prefix, ndn::kLocalFace);
-  rpPrefixes_.insert(prefix);
   rpEpochs_[prefix] = epoch;
   observeEpoch(prefix, epoch);
 }
@@ -57,7 +56,6 @@ std::uint64_t CopssRouter::nextEpochFor(const Name& prefix) const {
 
 void CopssRouter::retireClaim(const Name& prefix, NodeId towardFace,
                               bool rejoinAsSubscriber) {
-  rpPrefixes_.erase(prefix);
   rpEpochs_.erase(prefix);
   cdFib_.removePrefix(prefix);
   if (towardFace != kInvalidNode && towardFace != ndn::kLocalFace) {
@@ -254,7 +252,7 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
 
 void CopssRouter::subscribeLocal(const Name& cd) {
   const bool firstGlobally = st_.subscribe(ndn::kLocalFace, cd);
-  if (firstGlobally) propagateControl(ndn::kLocalFace, cd, /*subscribe=*/true);
+  if (firstGlobally) propagateControl(cd, /*subscribe=*/true);
 }
 
 void CopssRouter::publishLocal(const PacketPtr& multicast) {
@@ -272,7 +270,7 @@ void CopssRouter::onSubscribe(NodeId fromFace, const SubscribePacket& pkt) {
   if (pkt.scoped) {
     forwardScoped(pkt.cd, pkt.scope, /*subscribe=*/true, pkt.resync);
   } else {
-    propagateControl(fromFace, pkt.cd, /*subscribe=*/true, pkt.resync);
+    propagateControl(pkt.cd, /*subscribe=*/true, pkt.resync);
   }
 }
 
@@ -281,13 +279,11 @@ void CopssRouter::onUnsubscribe(NodeId fromFace, const UnsubscribePacket& pkt) {
   if (pkt.scoped) {
     forwardScoped(pkt.cd, pkt.scope, /*subscribe=*/false);
   } else {
-    propagateControl(fromFace, pkt.cd, /*subscribe=*/false);
+    propagateControl(pkt.cd, /*subscribe=*/false);
   }
 }
 
-void CopssRouter::propagateControl(NodeId excludeFace, const Name& cd, bool subscribe,
-                                   bool resync) {
-  (void)excludeFace;
+void CopssRouter::propagateControl(const Name& cd, bool subscribe, bool resync) {
   // A subscription to `cd` concerns every RP whose served prefix intersects
   // it (Section III-B: subscribing to /1 means subscribing at the RPs of
   // /1/1, /1/2, ... — the ST aggregation happens for free because the single
@@ -295,12 +291,9 @@ void CopssRouter::propagateControl(NodeId excludeFace, const Name& cd, bool subs
   // is launched toward each intersecting assigned prefix; each copy then
   // travels the unique FIB path to its RP, so the resulting ST state is a
   // reverse-path tree per RP rather than a mesh.
-  std::set<Name> scopes;
-  for (const auto& [prefix, faces] : cdFib_.intersecting(cd)) {
-    (void)faces;
-    scopes.insert(prefix);
+  for (const Name& scope : cdFib_.intersecting(cd)) {
+    forwardScoped(cd, scope, subscribe, resync);
   }
-  for (const Name& scope : scopes) forwardScoped(cd, scope, subscribe, resync);
 }
 
 void CopssRouter::forwardScoped(const Name& cd, const Name& scope, bool subscribe,
@@ -371,9 +364,9 @@ void CopssRouter::assumeRp(const std::vector<Name>& prefixes,
 }
 
 bool CopssRouter::retireTo(NodeId target) {
-  if (target == id() || rpPrefixes_.empty()) return false;
-  std::vector<Name> prefixes(rpPrefixes_.begin(), rpPrefixes_.end());
-  initiateSplit(target, std::move(prefixes));
+  if (target == id() || rpEpochs_.empty()) return false;
+  const auto held = rpPrefixes();
+  initiateSplit(target, std::vector<Name>(held.begin(), held.end()));
   return true;
 }
 
@@ -413,7 +406,6 @@ void CopssRouter::initiateSplit(NodeId newRp, std::vector<Name> cds) {
     const std::uint64_t successor = nextEpochFor(cd);
     epochs.push_back(successor);
     observeEpoch(cd, successor);
-    rpPrefixes_.erase(cd);
     rpEpochs_.erase(cd);
     cdFib_.removePrefix(cd);
     cdFib_.insert(cd, towardNew);
@@ -669,10 +661,11 @@ void CopssRouter::heartbeatTick() {
   if (hbStandby_ == kInvalidNode) return;
   // A crash cancels the tick chain (generation bump in onCrash); onRestart
   // re-arms it, so a restarted RP never beacons pre-crash state.
-  if (!network().isFailed(id()) && !rpPrefixes_.empty()) {
+  if (!network().isFailed(id()) && !rpEpochs_.empty()) {
     const NodeId nh = network().topology().nextHop(id(), hbStandby_);
     if (nh != kInvalidNode) {
-      std::vector<Name> prefixes(rpPrefixes_.begin(), rpPrefixes_.end());
+      const auto held = rpPrefixes();
+      std::vector<Name> prefixes(held.begin(), held.end());
       std::vector<std::uint64_t> epochs;
       epochs.reserve(prefixes.size());
       for (const Name& p : prefixes) epochs.push_back(claimEpoch(p));
@@ -756,7 +749,8 @@ void CopssRouter::onCrash() {
     // — exactly the split-brain input the EpochMonotonic audit exists to
     // catch.
     epochSeen_.clear();
-    const std::set<Name> held = rpPrefixes_;
+    const auto claims = rpPrefixes();
+    const std::vector<Name> held(claims.begin(), claims.end());
     for (const Name& p : held) becomeRp(p, 1);
   }
 }
@@ -775,8 +769,9 @@ void CopssRouter::onRestart() {
   // ask the neighbours whether anyone observed a higher epoch while we were
   // down (a standby assuming our role floods epoch+1). A neighbour that did
   // demotes us one hop back; silence means the claims stand.
-  if (opts_.epochReconcile && !rpPrefixes_.empty()) {
-    std::vector<Name> prefixes(rpPrefixes_.begin(), rpPrefixes_.end());
+  if (opts_.epochReconcile && !rpEpochs_.empty()) {
+    const auto held = rpPrefixes();
+    std::vector<Name> prefixes(held.begin(), held.end());
     std::vector<std::uint64_t> epochs;
     epochs.reserve(prefixes.size());
     for (const Name& p : prefixes) epochs.push_back(claimEpoch(p));
@@ -877,10 +872,10 @@ void CopssRouter::onDemote(NodeId fromFace, const RpDemotePacket& pkt) {
     observeEpoch(prefix, epoch);
     // Idempotent: several neighbours may each answer our reclaim; only the
     // first demote per prefix finds a live claim to retire.
-    if (rpPrefixes_.count(prefix) > 0 && claimEpoch(prefix) < epoch) {
+    if (rpEpochs_.count(prefix) > 0 && claimEpoch(prefix) < epoch) {
       retireClaim(prefix, fromFace, /*rejoinAsSubscriber=*/true);
       ++demotions_;
-    } else if (rpPrefixes_.count(prefix) == 0 && epoch > seenBefore &&
+    } else if (rpEpochs_.count(prefix) == 0 && epoch > seenBefore &&
                fromFace != ndn::kLocalFace) {
       // Route repair along the reverse path: a demote carrying an epoch we
       // had never witnessed means the current owner's takeover flood missed

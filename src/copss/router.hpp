@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <ranges>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -72,7 +73,8 @@ class CopssRouter : public Node {
   void becomeRp(const Name& prefix, std::uint64_t epoch);
   bool isRpFor(const Name& cd) const;
   bool isRpFor(NameId cd) const;
-  const std::set<Name>& rpPrefixes() const { return rpPrefixes_; }
+  // The prefixes this router claims as RP: the keys of rpEpochs().
+  auto rpPrefixes() const { return std::views::keys(rpEpochs_); }
   // ---- ownership epochs (split-brain reconciliation) ----
   // Epoch of this router's own claim on `prefix` (0: no claim).
   std::uint64_t claimEpoch(const Name& prefix) const;
@@ -206,8 +208,7 @@ class CopssRouter : public Node {
 
   // Expand an unscoped host (un)subscription over the intersecting assigned
   // prefixes and forward one scoped copy toward each RP.
-  void propagateControl(NodeId excludeFace, const Name& cd, bool subscribe,
-                        bool resync = false);
+  void propagateControl(const Name& cd, bool subscribe, bool resync = false);
   // Forward one scoped (un)subscribe copy toward its RP (aggregated on a
   // per-(cd, scope) refcount).
   void forwardScoped(const Name& cd, const Name& scope, bool subscribe,
@@ -239,10 +240,10 @@ class CopssRouter : public Node {
   // shard that owns its node (or sequentially), never by two workers at once.
   GCOPSS_SHARD_CONFINED ndn::Fib cdFib_;  // CD prefix -> face toward serving RP (local = we are RP)
   GCOPSS_SHARD_CONFINED SubscriptionTable st_;
-  std::set<Name> rpPrefixes_;
-  // Ownership epochs. Both survive a crash: the claim epochs are part of the
-  // persisted RP config (like rpPrefixes_), and the observed high-water marks
-  // model routing-protocol state that re-converges with the FIB.
+  // Ownership epochs. Both survive a crash: the claim epochs are the
+  // persisted RP config (their keys are the claimed prefixes), and the
+  // observed high-water marks model routing-protocol state that re-converges
+  // with the FIB.
   std::map<Name, std::uint64_t> rpEpochs_;   // own claims: prefix -> epoch
   std::map<Name, std::uint64_t> epochSeen_;  // highest observed per prefix
   std::set<NodeId> hostFaces_;

@@ -1,226 +1,91 @@
 #include "ndn/fib.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/thread_annotations.hpp"
 
 namespace gcopss::ndn {
+namespace {
+
+// The deepest interned prefix of `name`, and whether that is all of `name`.
+// Lookups only: a Name is never interned by being looked up here.
+std::pair<NameId, bool> deepestInterned(const Name& name) {
+  const auto& names = NameTable::instance();
+  NameId id = kRootNameId;
+  for (const auto& comp : name.components()) {
+    const NameId next = names.findChild(id, comp);
+    if (next == kInvalidNameId) return {id, false};
+    id = next;
+  }
+  return {id, true};
+}
+
+}  // namespace
 
 // Control-plane mutation (RP assignment, Subscribe propagation targets):
-// never on the per-packet forwarding path, so trie-node growth is fine here.
+// never on the per-packet forwarding path, so node growth is fine here.
 // The cold marker is also the gcopss-tidy hot-alloc barrier.
 GCOPSS_COLD void Fib::insert(const Name& prefix, NodeId face) {
-  auto& names = NameTable::instance();
-  TrieNode* node = &root_;
-  NameId id = kRootNameId;
-  for (const auto& comp : prefix.components()) {
-    auto& child = node->children[comp];
-    if (!child) child = std::make_unique<TrieNode>();
-    node = child.get();
-    id = names.child(id, comp);
-  }
-  if (node->faces.insert(face).second) {
-    ++entries_;
-    if (node->faces.size() == 1) {
-      flatInsert(static_cast<std::uint32_t>(prefix.size()), id, node);
-    }
-  }
-}
-
-// The per-depth index holds exactly the prefixes with faces; both
-// maintenance ends are cold control plane (sorted insert / linear erase).
-GCOPSS_COLD void Fib::flatInsert(std::uint32_t depth, NameId id, const TrieNode* node) {
-  if (byDepth_.size() <= depth) byDepth_.resize(depth + 1);
-  auto& level = byDepth_[depth];
-  const auto it = std::lower_bound(
-      level.begin(), level.end(), id,
-      [](const FlatEntry& e, NameId key) { return e.id < key; });
-  if (it != level.end() && it->id == id) return;  // already indexed
-  level.insert(it, FlatEntry{id, node});
-}
-
-GCOPSS_COLD void Fib::flatErase(std::uint32_t depth, NameId id) {
-  if (byDepth_.size() <= depth) return;
-  auto& level = byDepth_[depth];
-  const auto it = std::lower_bound(
-      level.begin(), level.end(), id,
-      [](const FlatEntry& e, NameId key) { return e.id < key; });
-  if (it != level.end() && it->id == id) level.erase(it);
-}
-
-const Fib::TrieNode* Fib::find(const Name& prefix) const {
-  const TrieNode* node = &root_;
-  for (const auto& comp : prefix.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) return nullptr;
-    node = it->second.get();
-  }
-  return node;
+  routes_[NameTable::instance().intern(prefix)].insert(face);
 }
 
 bool Fib::remove(const Name& prefix, NodeId face) {
-  // const_cast-free: walk mutably.
-  TrieNode* node = &root_;
-  for (const auto& comp : prefix.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) return false;
-    node = it->second.get();
-  }
-  if (node->faces.erase(face) > 0) {
-    --entries_;
-    if (node->faces.empty()) {
-      flatErase(static_cast<std::uint32_t>(prefix.size()),
-                NameTable::instance().find(prefix));
-    }
-    return true;
-  }
-  return false;
+  const auto it = routes_.find(NameTable::instance().find(prefix));
+  if (it == routes_.end() || it->second.erase(face) == 0) return false;
+  if (it->second.empty()) routes_.erase(it);
+  return true;
 }
 
 void Fib::removePrefix(const Name& prefix) {
-  TrieNode* node = &root_;
-  for (const auto& comp : prefix.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) return;
-    node = it->second.get();
-  }
-  if (!node->faces.empty()) {
-    entries_ -= node->faces.size();
-    node->faces.clear();
-    flatErase(static_cast<std::uint32_t>(prefix.size()),
-              NameTable::instance().find(prefix));
+  routes_.erase(NameTable::instance().find(prefix));
+}
+
+GCOPSS_HOT const std::set<NodeId>* Fib::lpmFaces(NameId id) const {
+  const auto& names = NameTable::instance();
+  for (;;) {
+    const auto it = routes_.find(id);
+    if (it != routes_.end()) return &it->second;
+    if (id == kRootNameId) return nullptr;
+    id = names.parent(id);
   }
 }
 
 std::vector<NodeId> Fib::lpm(const Name& name) const {
-  const TrieNode* node = &root_;
-  const TrieNode* best = node->faces.empty() ? nullptr : node;
-  for (const auto& comp : name.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) break;
-    node = it->second.get();
-    if (!node->faces.empty()) best = node;
-  }
-  if (!best) return {};
-  return {best->faces.begin(), best->faces.end()};
-}
-
-std::vector<NodeId> Fib::lpm(NameId id) const {
-  const std::set<NodeId>* faces = lpmFaces(id);
+  const std::set<NodeId>* faces = lpmFaces(deepestInterned(name).first);
   if (!faces) return {};
   return {faces->begin(), faces->end()};
 }
 
-GCOPSS_HOT const std::set<NodeId>* Fib::lpmFaces(NameId id) const {
-  if (byDepth_.empty()) return nullptr;
+std::vector<Name> Fib::intersecting(const Name& name) const {
   const auto& names = NameTable::instance();
-  std::uint32_t depth = names.depth(id);
-  NameId cur = id;
-  // Nothing is registered deeper than byDepth_.size()-1: hop straight up to
-  // the deepest level that can match before touching any level array.
-  while (depth >= byDepth_.size()) {
-    cur = names.parent(cur);
-    --depth;
-  }
-  for (;;) {
-    const auto& level = byDepth_[depth];
-    if (!level.empty()) {
-      const auto it = std::lower_bound(
-          level.begin(), level.end(), cur,
-          [](const FlatEntry& e, NameId key) { return e.id < key; });
-      if (it != level.end() && it->id == cur) return &it->node->faces;
+  const auto [deepest, whole] = deepestInterned(name);
+  std::vector<Name> out;
+  for (const auto& route : routes_) {
+    // Routed prefixes are interned, so a routed descendant of `name` can
+    // exist only when all of `name` is interned.
+    if (names.isPrefixOf(route.first, deepest) ||
+        (whole && names.isPrefixOf(deepest, route.first))) {
+      out.push_back(names.name(route.first));
     }
-    if (depth == 0) return nullptr;
-    cur = names.parent(cur);
-    --depth;
   }
-}
-
-std::vector<NodeId> Fib::exact(const Name& prefix) const {
-  const TrieNode* node = find(prefix);
-  if (!node) return {};
-  return {node->faces.begin(), node->faces.end()};
-}
-
-std::vector<std::pair<const std::string*, const Fib::TrieNode*>>
-Fib::sortedChildren(const TrieNode& node) {
-  std::vector<std::pair<const std::string*, const TrieNode*>> out;
-  out.reserve(node.children.size());
-  // gcopss-tidy: allow(unordered-iter) the one audited escape; order is normalized by the sort below
-  for (const auto& [comp, child] : node.children) {
-    out.emplace_back(&comp, child.get());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<std::pair<Name, std::vector<NodeId>>> Fib::intersecting(const Name& name) const {
-  std::vector<std::pair<Name, std::vector<NodeId>>> out;
-  // Ancestors (and self): walk down the trie along `name`.
-  const TrieNode* node = &root_;
-  for (std::size_t len = 0;; ++len) {
-    if (!node->faces.empty()) {
-      out.emplace_back(name.prefix(len),
-                       std::vector<NodeId>(node->faces.begin(), node->faces.end()));
-    }
-    if (len == name.size()) break;
-    const auto it = node->children.find(name.at(len));
-    if (it == node->children.end()) return out;
-    node = it->second.get();
-  }
-  // Descendants: everything strictly below `name`, in sorted preorder.
-  // Children are pushed reverse-sorted so the stack pops them ascending —
-  // the output order is a pure function of the trie's contents, never of
-  // unordered-map layout (it reaches Subscribe propagation order upstream).
-  struct Frame {
-    const TrieNode* n;
-    Name path;
-  };
-  std::vector<Frame> stack;
-  auto pushKids = [&stack](const TrieNode& n, const Name& path) {
-    const auto kids = sortedChildren(n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(Frame{it->second, path.append(*it->first)});
-    }
-  };
-  pushKids(*node, name);
-  while (!stack.empty()) {
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-    if (!f.n->faces.empty()) {
-      out.emplace_back(f.path,
-                       std::vector<NodeId>(f.n->faces.begin(), f.n->faces.end()));
-    }
-    pushKids(*f.n, f.path);
-  }
+std::vector<Name> Fib::prefixes() const {
+  const auto& names = NameTable::instance();
+  std::vector<Name> out;
+  out.reserve(routes_.size());
+  for (const auto& route : routes_) out.push_back(names.name(route.first));
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<std::pair<Name, std::vector<NodeId>>> Fib::entries() const {
-  std::vector<std::pair<Name, std::vector<NodeId>>> out;
-  struct Frame {
-    const TrieNode* n;
-    Name path;
-  };
-  std::vector<Frame> stack{Frame{&root_, Name()}};
-  while (!stack.empty()) {
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-    if (!f.n->faces.empty()) {
-      out.emplace_back(f.path,
-                       std::vector<NodeId>(f.n->faces.begin(), f.n->faces.end()));
-    }
-    const auto kids = sortedChildren(*f.n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(Frame{it->second, f.path.append(*it->first)});
-    }
-  }
-  // Belt and braces: sorted preorder already emits prefixes in Name order,
-  // but the audit contract is "sorted by prefix", so say it in code.
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+std::size_t Fib::entryCount() const {
+  std::size_t n = 0;
+  for (const auto& route : routes_) n += route.second.size();
+  return n;
 }
 
 }  // namespace gcopss::ndn

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <memory>
+#include <map>
 #include <set>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/name.hpp"
@@ -12,8 +10,9 @@
 
 namespace gcopss::ndn {
 
-// Forwarding Information Base: a component trie mapping name prefixes to
-// outgoing face sets, with longest-prefix-match lookup.
+// Forwarding Information Base: one route table keyed by interned prefix,
+// holding exactly the prefixes with at least one outgoing face, with
+// longest-prefix-match lookup over the NameTable's parent chain.
 class Fib {
  public:
   void insert(const Name& prefix, NodeId face);
@@ -22,69 +21,31 @@ class Fib {
   // Remove every face registered for exactly this prefix.
   void removePrefix(const Name& prefix);
 
-  // Faces of the longest prefix of `name` that has at least one face.
-  // Empty vector if no prefix matches.
-  std::vector<NodeId> lpm(const Name& name) const;
-
-  // Data-plane LPM over an interned name: instead of hashing string
-  // components down the trie, walk `id`'s parent chain (deepest first) and
-  // return the first prefix registered here with faces — the same longest
-  // match the string walk produces, in O(depth) integer map probes.
-  std::vector<NodeId> lpm(NameId id) const;
-
-  // Allocation-free variant: the winning entry's face set (iteration order
-  // matches the vector the other overloads return), nullptr if no match.
+  // The one LPM: walk `id`'s parent chain (deepest first) and return the
+  // faces of the first prefix routed here, nullptr if none is.
   const std::set<NodeId>* lpmFaces(NameId id) const;
 
-  // Exact-match faces for a prefix (no LPM); empty if absent.
-  std::vector<NodeId> exact(const Name& prefix) const;
+  // lpmFaces for a Name, resolved to its deepest interned prefix without
+  // interning it (every routed prefix is interned, so the match is the
+  // same). Empty vector if no prefix matches.
+  std::vector<NodeId> lpm(const Name& name) const;
 
-  // All (prefix, faces) entries whose prefix intersects `name`: the prefix is
-  // an ancestor-or-equal of `name`, or lies in the subtree under `name`.
+  // Every routed prefix that intersects `name`, sorted by Name: the prefix
+  // is an ancestor-or-equal of `name`, or lies in the subtree under `name`.
   // COPSS uses this to find every RP direction a Subscribe must propagate to
   // (a subscription to /1 must reach the RPs serving /1/1, /1/2, ...).
-  std::vector<std::pair<Name, std::vector<NodeId>>> intersecting(const Name& name) const;
+  std::vector<Name> intersecting(const Name& name) const;
 
-  // Every (prefix, faces) entry in the trie, sorted by prefix. Audit /
-  // introspection path (the invariant checker enumerates all routed prefixes
-  // to build its loop-freedom probe set); not used while forwarding.
-  std::vector<std::pair<Name, std::vector<NodeId>>> entries() const;
+  // Every routed prefix, sorted by Name. Audit / introspection path (the
+  // invariant checker enumerates all routed prefixes to build its
+  // loop-freedom probe set); not used while forwarding.
+  std::vector<Name> prefixes() const;
 
-  std::size_t entryCount() const { return entries_; }
+  // Number of (prefix, face) pairs.
+  std::size_t entryCount() const;
 
  private:
-  struct TrieNode {
-    std::unordered_map<std::string, std::unique_ptr<TrieNode>> children;
-    std::set<NodeId> faces;
-  };
-  TrieNode root_;
-  std::size_t entries_ = 0;  // number of (prefix,face) pairs
-  // Flattened LPM index (DESIGN.md §4e): one contiguous array per depth of
-  // (interned prefix id, trie node), sorted by id, holding exactly the
-  // prefixes with at least one registered face. A lookup walks `id`'s
-  // parent chain (the NameTable caches parent/depth) and binary-searches
-  // the level array at each depth — contiguous words instead of a hash-map
-  // probe per level, and depths with no registered prefix are skipped
-  // without touching memory. Nodes are never deallocated (remove only
-  // clears face sets), so raw pointers stay valid for the trie's lifetime.
-  struct FlatEntry {
-    NameId id;
-    const TrieNode* node;
-  };
-  std::vector<std::vector<FlatEntry>> byDepth_;
-
-  void flatInsert(std::uint32_t depth, NameId id, const TrieNode* node);
-  void flatErase(std::uint32_t depth, NameId id);
-
-  const TrieNode* find(const Name& prefix) const;
-
-  // Deterministic traversal order over a node's unordered child map: the
-  // one audited place where `children` is iterated, normalized by sorting
-  // on the component. Everything that enumerates the trie (intersecting(),
-  // entries()) walks this snapshot so its output order never depends on
-  // hash-map layout.
-  static std::vector<std::pair<const std::string*, const TrieNode*>>
-  sortedChildren(const TrieNode& node);
+  std::map<NameId, std::set<NodeId>> routes_;
 };
 
 }  // namespace gcopss::ndn

@@ -43,15 +43,4 @@ bool Pit::contains(const Name& name, SimTime now) const {
   return it != table_.end() && it->second.expiry > now;
 }
 
-void Pit::purgeExpired(SimTime now) {
-  // gcopss-tidy: allow(unordered-iter) erase-only sweep; the surviving set, not the visitation order, is what is observable
-  for (auto it = table_.begin(); it != table_.end();) {
-    if (it->second.expiry <= now) {
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 }  // namespace gcopss::ndn

@@ -33,9 +33,6 @@ class Pit {
   bool contains(const Name& name, SimTime now) const;
   std::size_t size() const { return table_.size(); }
 
-  // Remove expired entries; called opportunistically by the forwarder.
-  void purgeExpired(SimTime now);
-
  private:
   struct Entry {
     std::set<NodeId> inFaces;

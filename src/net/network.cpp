@@ -103,11 +103,8 @@ void Network::meterQueueDrop() {
 }
 
 void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
-  if (!faceQueues_.empty()) {
-    transmitQueued(from, to, std::move(pkt));
-    return;
-  }
-  const Topology::Link& link = topo_.linkBetween(from, to);
+  const std::size_t li = topo_.linkIndexBetween(from, to);
+  const Topology::Link& link = topo_.links()[li];
   meterTx(pkt->size);
   // `now` on the sender's lane: identical to sim_.now() when serial, and in
   // a parallel round the executing shard's clock (during a global phase all
@@ -115,9 +112,10 @@ void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
   Node& sender = node(from);
   const SimTime now = sender.shardSim_->now();
   if (observer_) observer_->onWireSend(from, to, pkt, now);
-  const auto txTime = static_cast<SimTime>(
-      static_cast<double>(pkt->size) * 8.0 / link.bandwidthBps * kSecond);
-  SimTime arrival = link.delay + txTime;
+  // One fault draw per transmit, queued or not (the RNG-lane streams stay
+  // aligned across both); loss is modelled at the egress port, before the
+  // packet takes queue space.
+  SimTime extraDelay = 0;
   if (fault_) {
     const auto verdict = fault_->onTransmit(from, to, now);
     if (verdict.drop) {
@@ -125,48 +123,33 @@ void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
       if (observer_) observer_->onDrop(to, pkt, DropReason::WireFault, now);
       return;  // lost on the wire (random loss or down window)
     }
-    arrival += verdict.extraDelay;  // jitter / reorder hold
+    extraDelay = verdict.extraDelay;  // jitter / reorder hold
   }
-  deliver(sender, to, link, now, arrival, std::move(pkt));
-}
-
-void Network::transmitQueued(NodeId from, NodeId to, PacketPtr pkt) {
-  const std::size_t li = topo_.linkIndexBetween(from, to);
-  assert(2 * li + 1 < faceQueues_.size() &&
-         "link added after enableLinkQueues — call it once the topology is final");
-  const Topology::Link& link = topo_.links()[li];
-  meterTx(pkt->size);
-  Node& sender = node(from);
-  const SimTime now = sender.shardSim_->now();
-  if (observer_) observer_->onWireSend(from, to, pkt, now);
-  // Fault verdicts keep their one-draw-per-transmit order (the RNG-lane
-  // streams stay aligned with the unqueued path); loss is modelled at the
-  // egress port, before the packet takes queue space.
-  SimTime extraDelay = 0;
-  if (fault_) {
-    const auto verdict = fault_->onTransmit(from, to, now);
-    if (verdict.drop) {
-      meterDrop();
-      if (observer_) observer_->onDrop(to, pkt, DropReason::WireFault, now);
+  // Time until the last bit leaves: the fixed serialization delay without
+  // face queues, the queue's serialization completion with them.
+  SimTime wire = 0;
+  if (faceQueues_.empty()) {
+    wire = static_cast<SimTime>(static_cast<double>(pkt->size) * 8.0 /
+                                link.bandwidthBps * kSecond);
+  } else {
+    assert(2 * li + 1 < faceQueues_.size() &&
+           "link added after enableLinkQueues — call it once the topology is final");
+    FaceQueue& q = faceQueues_[2 * li + (from == link.a ? 0 : 1)];
+    const auto adm = q.admit(now, pkt->size);
+    if (!adm.admitted) {
+      meterQueueDrop();
+      if (observer_) observer_->onDrop(to, pkt, DropReason::QueueDrop, now);
       return;
     }
-    extraDelay = verdict.extraDelay;
+    // Serialization completion on the sender's own lane: closes the
+    // occupancy window (the queue never crosses a shard boundary). txDone
+    // >= now, so a posted arrival still lands at least one lookahead after
+    // the send.
+    sender.shardSim_->scheduleAt(adm.txDone, [&q, sz = pkt->size]() { q.depart(sz); });
+    wire = adm.txDone - now;
   }
-  FaceQueue& q = faceQueues_[2 * li + (from == link.a ? 0 : 1)];
-  const auto adm = q.admit(now, pkt->size);
-  if (!adm.admitted) {
-    meterQueueDrop();
-    if (observer_) observer_->onDrop(to, pkt, DropReason::QueueDrop, now);
-    return;
-  }
-  // Serialization completion on the sender's own lane: closes the occupancy
-  // window (the queue never crosses a shard boundary).
-  sender.shardSim_->scheduleAt(adm.txDone, [&q, sz = pkt->size]() { q.depart(sz); });
-  // Receiver sees the packet one propagation delay after the last bit
-  // leaves. txDone >= now, so a posted arrival still lands at least one
-  // lookahead after the send.
-  const SimTime arrival = (adm.txDone - now) + link.delay + extraDelay;
-  deliver(sender, to, link, now, arrival, std::move(pkt));
+  // The receiver sees the packet one propagation delay after the last bit.
+  deliver(sender, to, link, now, wire + link.delay + extraDelay, std::move(pkt));
 }
 
 void Network::deliver(Node& sender, NodeId to, const Topology::Link& link, SimTime now,
@@ -196,7 +179,6 @@ void Network::deliver(Node& sender, NodeId to, const Topology::Link& link, SimTi
 
 void Network::enableLinkQueues(const LinkQueueConfig& cfg) {
   assert(cfg.enabled && "pass an enabled LinkQueueConfig (or never call)");
-  queueCfg_ = cfg;
   faceQueues_.clear();
   faceQueues_.reserve(topo_.links().size() * 2);
   for (const Topology::Link& l : topo_.links()) {
@@ -323,7 +305,6 @@ void Network::enqueueCpu(NodeId at, NodeId fromFace, PacketPtr pkt) {
   }
   const SimTime now = lsim.now();
   if (params_.dropBacklog > 0 && n.cpuBacklog() > params_.dropBacklog) {
-    ++n.drops_;
     meterDrop();
     if (observer_) observer_->onDrop(at, pkt, DropReason::BufferFull, lsim.now());
     return;  // finite buffer overflow: packet lost

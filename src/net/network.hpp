@@ -58,8 +58,6 @@ class Node {
   // even with an idle CPU, so the load balancer consumes the sum of both.
   SimTime faceQueueBacklog() const;
 
-  std::uint64_t dropCount() const { return drops_; }
-
  protected:
   void send(NodeId toFace, PacketPtr pkt);
   // Send after an extra delay (e.g. a server pacing its unicast copies).
@@ -85,7 +83,6 @@ class Node {
   // and state live on that one lane, so handlers never need locks.
   Simulator* shardSim_;
   SimTime cpuFreeAt_ = 0;
-  std::uint64_t drops_ = 0;
   // Per-node transmit counter: the (srcNode, srcSeq) half of the parallel
   // engine's deterministic merge key. Independent of the shard mapping.
   std::uint64_t sendSeq_ = 0;
@@ -126,7 +123,6 @@ class Network {
   // byte-for-byte unchanged.
   void enableLinkQueues(const LinkQueueConfig& cfg);
   bool linkQueuesEnabled() const { return !faceQueues_.empty(); }
-  const LinkQueueConfig& linkQueueConfig() const { return queueCfg_; }
   // The (from -> to) face queue; throws if queues are off or no such link.
   const FaceQueue& faceQueue(NodeId from, NodeId to) const;
   // Worst serialization backlog over `id`'s outgoing faces at `now`
@@ -150,7 +146,6 @@ class Network {
   // simulator (crash = setNodeFailed + onCrash; restart = revive + onRestart).
   // Call once, before run(); replaces any previous plan.
   void applyFaultPlan(const FaultPlan& plan);
-  bool hasFaultPlan() const { return fault_ != nullptr; }
   // Zeroed stats when no plan is installed.
   const FaultStats& faultStats() const {
     static const FaultStats kEmpty{};
@@ -227,9 +222,7 @@ class Network {
   void meterTx(Bytes size);
   void meterDrop();
   void meterQueueDrop();
-  // The queued-transmit data path (faceQueues_ non-empty).
-  void transmitQueued(NodeId from, NodeId to, PacketPtr pkt);
-  // Hands `pkt` to `to`'s CPU queue `after` from `now` (both transmit paths).
+  // Hands `pkt` to `to`'s CPU queue `after` from `now`.
   void deliver(Node& sender, NodeId to, const Topology::Link& link, SimTime now,
                SimTime after, PacketPtr pkt);
   FaceQueue& faceQueueRef(NodeId from, NodeId to);
@@ -251,7 +244,6 @@ class Network {
   // Face queues, 2 per topology link, indexed 2*linkIdx + direction
   // (0 = link.a -> link.b). Built once by enableLinkQueues; each queue is
   // then mutated only by the lane owning its sending node.
-  LinkQueueConfig queueCfg_;
   GCOPSS_SHARD_CONFINED std::vector<FaceQueue> faceQueues_;
 };
 

@@ -10,8 +10,7 @@
 // must also equal the model's filter rebuilt from the face's live CDs.
 //
 // The last tests close the loop end-to-end: whole-sim runs must produce
-// identical RunSummary digests on the serial and the sharded engine, and the
-// flattened per-depth CD-FIB must agree with the trie walk under churn.
+// identical RunSummary digests on the serial and the sharded engine.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "copss/packets.hpp"
 #include "copss/st.hpp"
 #include "gcopss/experiment.hpp"
-#include "ndn/fib.hpp"
 #include "st_oracle.hpp"
 
 namespace gcopss::test {
@@ -389,47 +387,6 @@ TEST(BatchedMatch, FullRunDigestInvariantAcrossMatchPathAndEngine) {
   EXPECT_EQ(runs[0].p99Ms, runs[1].p99Ms);
   EXPECT_EQ(runs[0].latencyCdfMs, runs[1].latencyCdfMs);
   EXPECT_EQ(runs[0].networkGB, runs[1].networkGB);
-}
-
-// ---- flattened CD-FIB vs trie-walk oracle ----
-
-TEST(BatchedMatch, FlatFibLpmMatchesTrieWalkUnderChurn) {
-  ndn::Fib fib;
-  auto& names = NameTable::instance();
-  Lcg rng(23);
-
-  std::vector<std::pair<Name, NodeId>> live;
-  for (int round = 0; round < 30; ++round) {
-    for (int op = 0; op < 15; ++op) {
-      if (live.empty() || rng.below(3) != 0) {
-        Name prefix = randomCd(rng);
-        const NodeId face = static_cast<NodeId>(rng.below(10));
-        fib.insert(prefix, face);
-        live.emplace_back(std::move(prefix), face);
-      } else {
-        const auto pick = rng.below(live.size());
-        fib.remove(live[pick].first, live[pick].second);
-        live[pick] = live.back();
-        live.pop_back();
-      }
-    }
-    for (int q = 0; q < 20; ++q) {
-      // Query names one level deeper than the registered universe too, so
-      // the interned walk's hop-down-past-byDepth_ path gets covered.
-      Name name = randomCd(rng);
-      if (rng.below(2) == 0) name = name.append("deep" + std::to_string(rng.below(3)));
-      const auto viaTrie = fib.lpm(name);
-      const auto viaFlat = fib.lpm(names.intern(name));
-      ASSERT_EQ(viaTrie, viaFlat) << "flat LPM diverged for " << name.toString();
-    }
-  }
-  // removePrefix (bulk face clear) must also unindex the level entry.
-  for (const auto& [prefix, face] : live) {
-    (void)face;
-    fib.removePrefix(prefix);
-    ASSERT_EQ(fib.lpm(prefix), fib.lpm(names.intern(prefix)));
-  }
-  EXPECT_TRUE(fib.lpm(Name::parse("/g1/r1")).empty());
 }
 
 }  // namespace

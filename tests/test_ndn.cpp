@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
+#include "common/rng.hpp"
 #include "ndn/content_store.hpp"
 #include "ndn/fib.hpp"
 #include "ndn/forwarder.hpp"
@@ -57,20 +60,17 @@ TEST(Fib, IntersectingFindsAncestorsAndDescendants) {
   fib.insert(Name(), 4);
 
   // /1 intersects its descendants /1/1, /1/2 and its ancestor root.
-  const auto hits = fib.intersecting(Name::parse("/1"));
   std::set<std::string> prefixes;
-  for (const auto& [p, f] : hits) {
-    (void)f;
-    prefixes.insert(p.toString());
-  }
+  for (const Name& p : fib.intersecting(Name::parse("/1"))) prefixes.insert(p.toString());
   EXPECT_EQ(prefixes, (std::set<std::string>{"/", "/1/1", "/1/2"}));
 }
 
 TEST(Fib, IntersectingOrderIsDeterministic) {
-  // The trie stores children in an unordered map, but intersecting() feeds
-  // Subscribe propagation, so its output order must be a pure function of
-  // the FIB's contents: ancestors root-down, then descendants in sorted
-  // preorder — regardless of insertion order or hash-map layout.
+  // The route table is keyed by NameId, whose order is first-intern order,
+  // but intersecting() feeds Subscribe propagation, so its output order must
+  // be a pure function of the FIB's contents: sorted by Name, i.e. ancestors
+  // root-down, then descendants in sorted preorder — whatever the insertion
+  // (and so interning) order was.
   const std::vector<std::string> prefixes = {"/1/9", "/1/2", "/1/5/a",
                                              "/1/5", "/1/11", "/"};
   std::vector<std::string> insertionOrder = prefixes;
@@ -79,8 +79,7 @@ TEST(Fib, IntersectingOrderIsDeterministic) {
     Fib fib;
     NodeId face = 1;
     for (const auto& p : insertionOrder) fib.insert(Name::parse(p), face++);
-    for (const auto& [name, faces] : fib.intersecting(Name::parse("/1"))) {
-      (void)faces;
+    for (const Name& name : fib.intersecting(Name::parse("/1"))) {
       expected.push_back(name.toString());
     }
   }
@@ -93,12 +92,111 @@ TEST(Fib, IntersectingOrderIsDeterministic) {
     NodeId face = 1;
     for (const auto& p : insertionOrder) fib.insert(Name::parse(p), face++);
     std::vector<std::string> got;
-    for (const auto& [name, faces] : fib.intersecting(Name::parse("/1"))) {
-      (void)faces;
+    for (const Name& name : fib.intersecting(Name::parse("/1"))) {
       got.push_back(name.toString());
     }
     EXPECT_EQ(got, expected) << "insertion order changed intersecting() order";
   } while (std::next_permutation(insertionOrder.begin(), insertionOrder.end()));
+}
+
+TEST(Fib, LpmMatchesRouteModelUnderChurn) {
+  // The one LPM — lpmFaces over the interner's parent chain, and lpm(Name)
+  // on top of it — against a model: the faces of the longest prefix in the
+  // test's own live (prefix, face) list, under inserts, removes and bulk
+  // removePrefix.
+  Fib fib;
+  auto& names = NameTable::instance();
+  Rng rng(23);
+  // Hierarchical CD universe: /g<a>, /g<a>/r<b>, /g<a>/r<b>/c<c>.
+  const auto below = [&rng](std::uint64_t n) { return rng.next() % n; };
+  const auto randomCd = [&below] {
+    Name n = Name::parse("/g" + std::to_string(below(8)));
+    if (below(3) != 0) {
+      n = n.append("r" + std::to_string(below(4)));
+      if (below(2) != 0) n = n.append("c" + std::to_string(below(3)));
+    }
+    return n;
+  };
+  std::vector<std::pair<Name, NodeId>> live;  // no duplicate pairs
+  const auto modelLpm = [&live](const Name& name) {
+    const Name* longest = nullptr;
+    for (const auto& [prefix, face] : live) {
+      (void)face;
+      if (prefix.isPrefixOf(name) && (!longest || prefix.size() > longest->size())) {
+        longest = &prefix;
+      }
+    }
+    std::set<NodeId> faces;
+    for (const auto& [prefix, face] : live) {
+      if (longest && prefix == *longest) faces.insert(face);
+    }
+    return std::vector<NodeId>(faces.begin(), faces.end());
+  };
+  const auto expectLpm = [&](const Name& name) {
+    const auto expected = modelLpm(name);
+    // lpm(Name) first: a name deeper than any route may not be interned yet.
+    EXPECT_EQ(fib.lpm(name), expected) << name.toString();
+    const auto* faces = fib.lpmFaces(names.intern(name));
+    EXPECT_EQ(faces ? std::vector<NodeId>(faces->begin(), faces->end()) : std::vector<NodeId>{},
+              expected)
+        << name.toString();
+  };
+
+  for (int round = 0; round < 30; ++round) {
+    for (int op = 0; op < 15; ++op) {
+      if (live.empty() || below(3) != 0) {
+        std::pair<Name, NodeId> route{randomCd(), static_cast<NodeId>(below(10))};
+        fib.insert(route.first, route.second);
+        if (std::find(live.begin(), live.end(), route) == live.end()) {
+          live.push_back(std::move(route));
+        }
+      } else {
+        const auto pick = below(live.size());
+        EXPECT_TRUE(fib.remove(live[pick].first, live[pick].second));
+        live[pick] = live.back();
+        live.pop_back();
+      }
+    }
+    ASSERT_EQ(fib.entryCount(), live.size());
+    for (int q = 0; q < 20; ++q) {
+      // Query names one level deeper than any route too, some never seen.
+      Name name = randomCd();
+      if (below(2) == 0) {
+        name = name.append("deep" + std::to_string(round) + "-" + std::to_string(q));
+      }
+      expectLpm(name);
+    }
+  }
+  // removePrefix clears every face of exactly that prefix.
+  while (!live.empty()) {
+    const Name prefix = live.front().first;
+    fib.removePrefix(prefix);
+    std::erase_if(live, [&prefix](const auto& route) { return route.first == prefix; });
+    ASSERT_EQ(fib.entryCount(), live.size());
+    expectLpm(prefix);
+  }
+  EXPECT_TRUE(fib.lpm(Name::parse("/g1/r1")).empty());
+}
+
+TEST(Fib, LookupsNeverIntern) {
+  Fib fib;
+  fib.insert(Name(), 1);
+  fib.insert(Name::parse("/1"), 2);
+  fib.insert(Name::parse("/1/z"), 3);
+  auto& names = NameTable::instance();
+  const Name unseen = Name::parse("/1/q");
+  ASSERT_EQ(names.find(unseen), kInvalidNameId);
+  const std::size_t interned = names.size();
+
+  EXPECT_EQ(fib.lpm(unseen), (std::vector<NodeId>{2}));
+  EXPECT_EQ(fib.lpm(unseen.append("deeper")), (std::vector<NodeId>{2}));
+  // Only the routed ancestors of a never-interned name intersect it: the
+  // sibling route /1/z is not under /1/q.
+  EXPECT_EQ(fib.intersecting(unseen), (std::vector<Name>{Name(), Name::parse("/1")}));
+  EXPECT_FALSE(fib.remove(unseen, 2));
+  fib.removePrefix(unseen);
+  EXPECT_EQ(names.size(), interned);
+  EXPECT_EQ(fib.entryCount(), 3u);
 }
 
 // ---------------- PIT ----------------
@@ -135,13 +233,6 @@ TEST(Pit, ExpiryRemovesEntries) {
   // A fresh Interest after expiry forwards again.
   EXPECT_EQ(pit.insert(Name::parse("/m"), 1, 2, 0), Pit::InsertResult::Forward);
   EXPECT_EQ(pit.insert(Name::parse("/m"), 2, 3, ms(200)), Pit::InsertResult::Forward);
-}
-
-TEST(Pit, PurgeExpired) {
-  Pit pit(ms(10));
-  for (int i = 0; i < 5; ++i) pit.insert(Name::parse("/p/" + std::to_string(i)), 1, i, 0);
-  pit.purgeExpired(ms(20));
-  EXPECT_EQ(pit.size(), 0u);
 }
 
 // ---------------- Content Store ----------------
