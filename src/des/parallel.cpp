@@ -145,8 +145,9 @@ std::uint64_t ParallelSimulator::run(SimTime until) {
     if (step == Step::Global) {
       // Sequential phase: the earliest pending event lives on the global
       // lane. Line every shard's clock up on it (legal: no shard event
-      // precedes g) so the handler sees a consistent "now" everywhere, then
-      // run all global events at that timestamp with the workers parked.
+      // precedes g) so the handler sees a consistent "now" everywhere, and
+      // its frontier on (g, 0), before every shard event at g; then run all
+      // global events at that timestamp with the workers parked.
       const SimTime g = global_.nextEventWhen();
       for (auto& s : shards_) s->advanceTo(g);
       global_.run(g);
@@ -166,6 +167,10 @@ std::uint64_t ParallelSimulator::run(SimTime until) {
     MutexLock lk(errorMu_);
     if (firstError_) std::rethrow_exception(firstError_);
   }
+  // plan() found no event at or before `until` on any lane. A shard's last
+  // round or advance left its frontier short of that; this run(until)
+  // executes nothing and moves it up to `until`.
+  for (auto& s : shards_) s->run(until);
   return totalEventsExecuted() - before;
 }
 

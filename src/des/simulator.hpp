@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cassert>
+#include <compare>
 #include <cstdint>
 #include <utility>
 
@@ -24,7 +25,28 @@ class Simulator {
  public:
   using Handler = InlineHandler;
 
+  // An event's place in the run: events execute in ascending (when, seq).
+  struct Key {
+    SimTime when = 0;
+    std::uint64_t seq = 0;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+
   SimTime now() const { return now_; }
+
+  // How far the run has got: every event keyed below the frontier has
+  // executed, none keyed at or above it has. While an event executes, the
+  // frontier is that event's own key. After runUntilBefore(w) or
+  // advanceTo(w) it is (w, 0), everything before w; after run(until), every
+  // event up to `until`, or up to the event a stop() ended the run on.
+  // A model that keeps timed records instead of scheduling an event per
+  // record (FaceQueue's departures) retires those keyed below it.
+  Key frontier() const { return frontier_; }
+
+  // Consume the seq the next scheduled event would get, without scheduling
+  // one: a record keyed (when, reserveSeq()) sits where that event would
+  // have, and every event scheduled afterwards keeps its seq.
+  std::uint64_t reserveSeq() { return nextSeq_++; }
 
   // Schedule `fn` to run `delay` from now (delay >= 0).
   template <typename F>
@@ -77,19 +99,25 @@ class Simulator {
   // termination. Same (when, seq) pop order as run().
   std::uint64_t runUntilBefore(SimTime window);
 
-  // Jump the clock to `t` without executing anything. Only legal when no
-  // pending event precedes `t` — the parallel driver uses it to line every
-  // shard up on the global-phase timestamp before a sequential event runs.
+  // Jump the clock and the frontier to `t` without executing anything. Only
+  // legal when no pending event precedes `t` — the parallel driver uses it to
+  // line every shard up on the global-phase timestamp before a sequential
+  // event runs.
   void advanceTo(SimTime t) {
     assert(t >= now_ && "cannot advance backwards");
     assert(nextEventWhen() >= t && "advancing over a pending event");
     now_ = t;
+    frontier_ = {t, 0};
   }
 
  private:
+  // Pop and execute `top`, the earliest pending event.
+  void dispatch(Event* top);
+
   CalendarQueue queue_;
   EventPool pool_;
   SimTime now_ = 0;
+  Key frontier_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;

@@ -49,8 +49,12 @@ void Network::attach(std::unique_ptr<Node> node) {
   assert(idx < topo_.nodeCount() && "node id must come from the topology");
   if (nodes_.size() <= idx) nodes_.resize(idx + 1);
   assert(!nodes_[idx] && "node id already attached");
-  if (par_) node->shardSim_ = &par_->shard(shardOf_[idx]);
+  node->shardSim_ = &laneOf(node->id());
   nodes_[idx] = std::move(node);
+}
+
+Simulator& Network::laneOf(NodeId id) {
+  return par_ ? par_->shard(shardOf_[static_cast<std::size_t>(id)]) : sim_;
 }
 
 Node& Network::node(NodeId id) {
@@ -134,18 +138,15 @@ void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
   } else {
     assert(2 * li + 1 < faceQueues_.size() &&
            "link added after enableLinkQueues — call it once the topology is final");
-    FaceQueue& q = faceQueues_[2 * li + (from == link.a ? 0 : 1)];
-    const auto adm = q.admit(now, pkt->size);
+    // The queue lives on the sender's lane, so it admits at `now`.
+    const auto adm = faceQueues_[2 * li + (from == link.a ? 0 : 1)].admit(pkt->size);
     if (!adm.admitted) {
       meterQueueDrop();
       if (observer_) observer_->onDrop(to, pkt, DropReason::QueueDrop, now);
       return;
     }
-    // Serialization completion on the sender's own lane: closes the
-    // occupancy window (the queue never crosses a shard boundary). txDone
-    // >= now, so a posted arrival still lands at least one lookahead after
-    // the send.
-    sender.shardSim_->scheduleAt(adm.txDone, [&q, sz = pkt->size]() { q.depart(sz); });
+    // txDone >= now, so a posted arrival still lands at least one lookahead
+    // after the send.
     wire = adm.txDone - now;
   }
   // The receiver sees the packet one propagation delay after the last bit.
@@ -183,9 +184,9 @@ void Network::enableLinkQueues(const LinkQueueConfig& cfg) {
   faceQueues_.reserve(topo_.links().size() * 2);
   for (const Topology::Link& l : topo_.links()) {
     faceQueues_.emplace_back(l.a, l.b, l.bandwidthBps,
-                             makeQueueDiscipline(cfg, l.a, l.b));
+                             makeQueueDiscipline(cfg, l.a, l.b), laneOf(l.a));
     faceQueues_.emplace_back(l.b, l.a, l.bandwidthBps,
-                             makeQueueDiscipline(cfg, l.b, l.a));
+                             makeQueueDiscipline(cfg, l.b, l.a), laneOf(l.b));
   }
 }
 
@@ -249,8 +250,9 @@ void Network::enableParallel(ParallelSimulator& psim) {
          "no link shorter than the lookahead may join two shards");
   shardMeters_.assign(k, ShardMeter{});
   for (auto& n : nodes_) {
-    if (n) n->shardSim_ = &psim.shard(shardOf_[static_cast<std::size_t>(n->id())]);
+    if (n) n->shardSim_ = &laneOf(n->id());
   }
+  for (FaceQueue& q : faceQueues_) q.setLane(laneOf(q.from()));
 }
 
 void Network::applyFaultPlan(const FaultPlan& plan) {

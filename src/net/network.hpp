@@ -124,6 +124,8 @@ class Network {
   void enableLinkQueues(const LinkQueueConfig& cfg);
   bool linkQueuesEnabled() const { return !faceQueues_.empty(); }
   // The (from -> to) face queue; throws if queues are off or no such link.
+  // Its stats() are as of `from`'s lane frontier; read them from sequential
+  // context (or from `from`'s own lane).
   const FaceQueue& faceQueue(NodeId from, NodeId to) const;
   // Worst serialization backlog over `id`'s outgoing faces at `now`
   // (0 with queues off). Shard-safe from `id`'s own lane: a node's
@@ -170,8 +172,10 @@ class Network {
   // over a shorter link is scheduled straight on the sender's lane; every
   // other delivery routes through the engine's deterministic merge. Call
   // after the topology is final and nodes are attached, before scheduling
-  // any traffic; psim's global lane must be this network's Simulator.
-  // Requires: no observer, and any fault plan built withIndependentStreams().
+  // any traffic; psim's global lane must be this network's Simulator, and
+  // psim must outlive every later use of the network (nodes and face queues
+  // run on its shards). Requires: no observer, and any fault plan built
+  // withIndependentStreams().
   void enableParallel(ParallelSimulator& psim);
   bool parallelEnabled() const { return par_ != nullptr; }
   ParallelSimulator* parallel() { return par_; }
@@ -226,6 +230,9 @@ class Network {
   void deliver(Node& sender, NodeId to, const Topology::Link& link, SimTime now,
                SimTime after, PacketPtr pkt);
   FaceQueue& faceQueueRef(NodeId from, NodeId to);
+  // The lane `id`'s events and outgoing face queues run on, attached or not:
+  // its shard's Simulator when parallel, the network's Simulator otherwise.
+  Simulator& laneOf(NodeId id);
 
   Simulator& sim_;
   Topology& topo_;
@@ -243,7 +250,8 @@ class Network {
   std::uint64_t totalQueueDrops_ = 0;
   // Face queues, 2 per topology link, indexed 2*linkIdx + direction
   // (0 = link.a -> link.b). Built once by enableLinkQueues; each queue is
-  // then mutated only by the lane owning its sending node.
+  // then mutated only by the lane owning its sending node, and its counters
+  // are read from sequential context.
   GCOPSS_SHARD_CONFINED std::vector<FaceQueue> faceQueues_;
 };
 

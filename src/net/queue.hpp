@@ -1,13 +1,17 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/units.hpp"
+#include "des/simulator.hpp"
 #include "net/packet.hpp"
 
 namespace gcopss {
@@ -23,8 +27,9 @@ namespace gcopss {
 // arrival still lands at least one lookahead (a propagation delay the link
 // meets) after the send — serialization only pushes arrivals later. A face
 // queue is touched exclusively by the lane that owns its sending node
-// (transmits and serialization completions both run there), so the hot path
-// needs no locks and serial-vs-parallel runs stay bit-identical.
+// (admissions run there, and departures are settled against that lane's
+// frontier, never by an event), so the hot path needs no locks and
+// serial-vs-parallel runs stay bit-identical.
 
 // Which admission discipline guards a face queue.
 enum class QueueKind : std::uint8_t {
@@ -157,27 +162,42 @@ class RedDiscipline final : public QueueDiscipline {
 
 // One directed link's transmit queue: lazy serialization bookkeeping
 // (`freeAt_` = when the face's last admitted bit leaves) plus occupancy
-// stats. The owner (Network) schedules the depart() completion on the
-// sending node's lane — see the shard-confinement note at the top.
+// stats. A packet occupies the queue from admission until its last bit
+// leaves at txDone; no event marks the departure. The queue keys it like an
+// event on its lane (the sending node's Simulator) — (txDone, a seq
+// reserved at admission) — and retires the packets keyed below the lane's
+// frontier before every admission and every stats() read. So a packet
+// leaves exactly where a departure event scheduled at admission would have
+// run, ties included (see Simulator::frontier).
 class FaceQueue {
  public:
   FaceQueue(NodeId from, NodeId to, double bandwidthBps,
-            std::unique_ptr<QueueDiscipline> disc)
-      : from_(from), to_(to), bandwidthBps_(bandwidthBps), disc_(std::move(disc)) {}
+            std::unique_ptr<QueueDiscipline> disc, Simulator& lane)
+      : from_(from),
+        to_(to),
+        bandwidthBps_(bandwidthBps),
+        disc_(std::move(disc)),
+        lane_(&lane) {}
 
   struct Admission {
     bool admitted = false;
     SimTime txDone = 0;  // when the last bit leaves the sender (valid if admitted)
   };
 
-  GCOPSS_HOT Admission admit(SimTime now, Bytes size) {
+  // Offer a packet of `size` to the face at the lane's now().
+  GCOPSS_HOT Admission admit(Bytes size) {
+    retire();
     if (!disc_->admit(stats_, size)) {
       ++stats_.dropped;
       return {};
     }
+    const SimTime now = lane_->now();
     const SimTime txStart = freeAt_ > now ? freeAt_ : now;
     const SimTime txDone = txStart + txTime(size);
     freeAt_ = txDone;
+    if (stats_.packetsQueued == ring_.size()) grow();
+    ring_[(head_ + stats_.packetsQueued) & (ring_.size() - 1)] =
+        InFlight{{txDone, lane_->reserveSeq()}, size};
     ++stats_.enqueued;
     stats_.bytesQueued += size;
     ++stats_.packetsQueued;
@@ -193,14 +213,6 @@ class FaceQueue {
     return {true, txDone};
   }
 
-  // Serialization completion for a packet of `size` admitted earlier.
-  GCOPSS_HOT void depart(Bytes size) {
-    assert(stats_.packetsQueued > 0 && stats_.bytesQueued >= size);
-    stats_.bytesQueued -= size;
-    --stats_.packetsQueued;
-    ++stats_.departed;
-  }
-
   // Time until the face would start serializing a packet admitted `now`
   // (0 = idle). The queue-side analogue of Node::cpuBacklog().
   SimTime backlog(SimTime now) const { return freeAt_ > now ? freeAt_ - now : 0; }
@@ -212,15 +224,60 @@ class FaceQueue {
 
   NodeId from() const { return from_; }
   NodeId to() const { return to_; }
-  const FaceQueueStats& stats() const { return stats_; }
+  // Counters as of the lane's frontier.
+  const FaceQueueStats& stats() const {
+    retire();
+    return stats_;
+  }
+
+  // Move the queue onto another lane (Network::enableParallel). Only while
+  // nothing is queued: the records' seqs belong to the old lane.
+  void setLane(Simulator& lane) {
+    assert(stats_.packetsQueued == 0 && "rebinding a face queue that holds packets");
+    lane_ = &lane;
+  }
 
  private:
+  struct InFlight {
+    Simulator::Key departs;
+    Bytes size;
+  };
+
+  // Settling departures only moves records into the counters, so const
+  // readers may do it too (hence `head_` and `stats_` are mutable).
+  GCOPSS_HOT void retire() const {
+    const Simulator::Key frontier = lane_->frontier();
+    while (stats_.packetsQueued > 0 && ring_[head_].departs < frontier) {
+      stats_.bytesQueued -= ring_[head_].size;
+      --stats_.packetsQueued;
+      ++stats_.departed;
+      head_ = (head_ + 1) & (ring_.size() - 1);
+    }
+  }
+
+  // GCOPSS_COLD: the ring doubles only when the face's occupancy passes its
+  // previous peak (and the discipline caps occupancy at capPackets), so a
+  // face stops allocating once it has seen its peak.
+  GCOPSS_COLD void grow() {
+    // Full: rotate the oldest record to the front, then double.
+    std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    ring_.resize(ring_.empty() ? 8 : 2 * ring_.size());
+  }
+
   NodeId from_;
   NodeId to_;
   double bandwidthBps_;
   std::unique_ptr<QueueDiscipline> disc_;
+  Simulator* lane_;
   SimTime freeAt_ = 0;
-  FaceQueueStats stats_;
+  // Admitted packets not yet departed, oldest first: `stats_.packetsQueued`
+  // records from `head_` in a ring of power-of-two capacity. Admission order
+  // is departure-key order (txDone never decreases, seqs only grow).
+  std::vector<InFlight> ring_;
+  mutable std::size_t head_ = 0;
+  mutable FaceQueueStats stats_;
 };
 
 // Whole-network roll-up of every face queue (read from sequential context).

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -91,18 +92,19 @@ TEST(FaceLaneSeed, IsDirectionSensitive) {
 // FaceQueue mechanics: lazy serialization, occupancy, sojourn accounting.
 // ---------------------------------------------------------------------------
 
-FaceQueue makeQueue(double bps, Bytes capBytes = 1 << 20,
+FaceQueue makeQueue(Simulator& sim, double bps, Bytes capBytes = 1 << 20,
                     std::size_t capPackets = 1024) {
   return FaceQueue(0, 1, bps,
-                   std::make_unique<DropTailDiscipline>(capBytes, capPackets));
+                   std::make_unique<DropTailDiscipline>(capBytes, capPackets), sim);
 }
 
 TEST(FaceQueue, BackToBackAdmitsSerializeInOrder) {
   // 1 Mbps, 1000-byte packets: 8 ms on the wire each.
-  FaceQueue q = makeQueue(1e6);
-  const auto a = q.admit(0, 1000);
-  const auto b = q.admit(0, 1000);
-  const auto c = q.admit(0, 1000);
+  Simulator sim;
+  FaceQueue q = makeQueue(sim, 1e6);
+  const auto a = q.admit(1000);
+  const auto b = q.admit(1000);
+  const auto c = q.admit(1000);
   ASSERT_TRUE(a.admitted && b.admitted && c.admitted);
   EXPECT_EQ(a.txDone, ms(8));
   EXPECT_EQ(b.txDone, ms(16));
@@ -115,25 +117,34 @@ TEST(FaceQueue, BackToBackAdmitsSerializeInOrder) {
   EXPECT_EQ(q.stats().maxSojourn, ms(24));
   EXPECT_EQ(q.stats().sojournSum, ms(48));
 
-  q.depart(1000);
+  // No event marks a departure: once the run is past a's last bit, the read
+  // settles it.
+  sim.run(ms(8));
   EXPECT_EQ(q.stats().bytesQueued, 2000u);
   EXPECT_EQ(q.stats().departed, 1u);
   EXPECT_EQ(q.stats().peakBytesQueued, 3000u) << "peak is a high-water mark";
 }
 
 TEST(FaceQueue, IdleFaceRestartsFromNow) {
-  FaceQueue q = makeQueue(1e6);
-  (void)q.admit(0, 1000);
-  q.depart(1000);
-  EXPECT_EQ(q.backlog(ms(50)), 0) << "idle after the only packet departed";
-  const auto a = q.admit(ms(50), 1000);
+  Simulator sim;
+  FaceQueue q = makeQueue(sim, 1e6);
+  (void)q.admit(1000);
+  FaceQueue::Admission a;
+  sim.scheduleAt(ms(50), [&]() {
+    EXPECT_EQ(q.backlog(ms(50)), 0) << "idle after the only packet departed";
+    EXPECT_EQ(q.stats().packetsQueued, 0u);
+    a = q.admit(1000);
+  });
+  sim.run();
   EXPECT_EQ(a.txDone, ms(58)) << "serialization restarts at `now`, not freeAt";
+  EXPECT_EQ(q.stats().departed, 2u);
 }
 
 TEST(FaceQueue, RefusalCountsADropAndLeavesOccupancyAlone) {
-  FaceQueue q = makeQueue(1e6, /*capBytes=*/1500);
-  ASSERT_TRUE(q.admit(0, 1000).admitted);
-  const auto refused = q.admit(0, 1000);
+  Simulator sim;
+  FaceQueue q = makeQueue(sim, 1e6, /*capBytes=*/1500);
+  ASSERT_TRUE(q.admit(1000).admitted);
+  const auto refused = q.admit(1000);
   EXPECT_FALSE(refused.admitted);
   EXPECT_EQ(q.stats().dropped, 1u);
   EXPECT_EQ(q.stats().bytesQueued, 1000u);
@@ -229,6 +240,34 @@ TEST(NetworkQueues, SaturationSerializesThenDrops) {
   EXPECT_GT(agg.maxSojournMs(), 0.0);
 }
 
+// A departure at exactly `txDone` sits where a departure event scheduled at
+// admission would: after the events at that instant scheduled before the
+// packet was admitted, before the ones scheduled after it.
+TEST(NetworkQueues, DepartureTiesFollowEventOrder) {
+  TwoNodes w(1e6);
+  w.net->enableLinkQueues(LinkQueueConfig::dropTail(/*capBytes=*/1000));
+  w.sim.scheduleAt(0, [&]() {
+    w.na->emit(w.b, 1000);  // P: 8 ms on the wire, txDone = 8 ms
+    // Scheduled after P's admission: P has left by the time this runs.
+    w.sim.scheduleAt(ms(8), [&]() { w.na->emit(w.b, 998); });
+  });
+  // Scheduled before P's admission: P still fills the queue.
+  w.sim.scheduleAt(ms(8), [&]() { w.na->emit(w.b, 999); });
+  w.sim.run();
+
+  const FaceQueueStats& s = w.net->faceQueue(w.a, w.b).stats();
+  EXPECT_EQ(s.dropped, 1u) << "the 999-B send meets P still queued";
+  EXPECT_EQ(s.enqueued, 2u);
+  EXPECT_EQ(s.departed, 2u);
+  EXPECT_EQ(s.bytesQueued, 0u);
+  EXPECT_EQ(s.packetsQueued, 0u);
+  ASSERT_EQ(w.nb->arrivals.size(), 2u);
+  // 10 ms propagation + 1 ms service after the last bit: P at 8 ms, the
+  // 998-B packet at 8 + 7.984 ms.
+  EXPECT_EQ(w.nb->arrivals[0].second, ms(19));
+  EXPECT_EQ(w.nb->arrivals[1].second, us(26984));
+}
+
 // Satellite bugfix pin: resetLoadMeter() must clear the drop counters too,
 // not just bytes/packets — a warmup that saturates a queue must not bleed
 // drops into the measured window.
@@ -282,9 +321,13 @@ struct SatDigest {
   std::vector<std::uint64_t> perClient;
   std::uint64_t queueDrops = 0;
   std::uint64_t linkPackets = 0;
+  // Client 1's uplink counters as the global-lane send at `tie` saw them.
+  std::uint64_t enqueuedAtTie = 0;
+  std::uint64_t departedAtTie = 0;
   bool operator==(const SatDigest& o) const {
     return perClient == o.perClient && queueDrops == o.queueDrops &&
-           linkPackets == o.linkPackets;
+           linkPackets == o.linkPackets && enqueuedAtTie == o.enqueuedAtTie &&
+           departedAtTie == o.departedAtTie;
   }
 };
 
@@ -331,6 +374,21 @@ SatDigest runSaturated(std::size_t threads) {
       });
     }
   }
+  // A send from a global-lane event at the exact txDone of client 1's first
+  // publication (admitted at 10 ms on an idle face). Parallel: the face
+  // queue lives on client 1's shard, and the global phase runs before that
+  // shard's events at `tie`. Serial: this event was scheduled before the
+  // packet's admission. Either way the packet has not yet left.
+  const NodeId c1 = w.clientIds[1];
+  const NodeId r1 = w.routerIds[1];
+  const SimTime tie =
+      ms(10) + w.net->faceQueue(c1, r1).txTime(copss::kMulticastHeaderBytes + 800);
+  w.sim->scheduleAt(tie, [&w, &d, c1, r1]() {
+    const FaceQueueStats& s = w.net->faceQueue(c1, r1).stats();
+    d.enqueuedAtTie = s.enqueued;
+    d.departedAtTie = s.departed;
+    w.clients[1]->publish(Name::parse("/1/1"), 800, 1000);
+  });
   if (psim) {
     psim->run();
   } else {
@@ -338,16 +396,71 @@ SatDigest runSaturated(std::size_t threads) {
   }
   d.queueDrops = w.net->totalQueueDrops();
   d.linkPackets = w.net->totalLinkPackets();
+  for (const Topology::Link& l : w.topo->links()) {
+    for (const auto& [from, to] : {std::pair{l.a, l.b}, std::pair{l.b, l.a}}) {
+      const FaceQueueStats& s = w.net->faceQueue(from, to).stats();
+      EXPECT_EQ(s.departed, s.enqueued) << "threads=" << threads << " face " << from
+                                        << "->" << to << ": drained";
+      EXPECT_EQ(s.bytesQueued, 0u) << "threads=" << threads << " face " << from
+                                   << "->" << to;
+    }
+  }
   return d;
 }
 
 TEST(QueueDeterminism, SaturatedRedRunIdenticalAcrossThreadCounts) {
   const SatDigest serial = runSaturated(0);
   EXPECT_GT(serial.queueDrops, 0u) << "the workload must actually overflow";
+  EXPECT_GT(serial.enqueuedAtTie, 1u);
+  EXPECT_EQ(serial.departedAtTie, 0u) << "the packet leaving at `tie` is still queued";
   for (std::size_t threads : {1u, 2u, 4u}) {
     const SatDigest par = runSaturated(threads);
     EXPECT_EQ(par, serial) << "threads=" << threads
                            << ": saturated runs must fold bit-identically";
+  }
+}
+
+// A 1500-B packet sent at 0 leaves at 12 ms and arrives at 22 ms. With the
+// 10 ms lookahead the parallel engine's first round ends at 10 ms, and no
+// shard event runs between then and 22 ms. Returns the face's departures as
+// a global-lane event at `readAt` saw them (if readAt >= 0) and after a
+// run up to 15 ms.
+std::pair<std::uint64_t, std::uint64_t> departedSeen(std::size_t threads,
+                                                     SimTime readAt) {
+  TwoNodes w(1e6);
+  w.net->enableLinkQueues(LinkQueueConfig::dropTail(1 << 20));
+  std::unique_ptr<ParallelSimulator> psim;
+  if (threads > 0) {
+    ParallelSimulator::Options po;
+    po.workers = threads;
+    po.lookahead = w.topo.parallelLookahead();
+    psim = std::make_unique<ParallelSimulator>(w.sim, po);
+    w.net->enableParallel(*psim);
+  }
+  std::uint64_t atRead = 0;
+  if (readAt >= 0) {
+    w.sim.scheduleAt(readAt, [&w, &atRead]() {
+      atRead = w.net->faceQueue(w.a, w.b).stats().departed;
+    });
+  }
+  w.net->nodeSim(w.a).scheduleAt(0, [&w]() { w.na->emit(w.b, 1500); });
+  if (psim) {
+    psim->run(ms(15));
+  } else {
+    w.sim.run(ms(15));
+  }
+  EXPECT_TRUE(w.nb->arrivals.empty()) << "threads=" << threads;
+  return {atRead, w.net->faceQueue(w.a, w.b).stats().departed};
+}
+
+TEST(QueueDeterminism, ReadsSettleDeparturesTheSameOnEveryEngine) {
+  for (std::size_t threads : {0u, 1u, 2u}) {
+    EXPECT_EQ(departedSeen(threads, -1).second, 1u)
+        << "threads=" << threads << ": run(15 ms) is past the 12 ms departure";
+    EXPECT_EQ(departedSeen(threads, ms(12)).first, 0u)
+        << "threads=" << threads << ": a global event at txDone runs first";
+    EXPECT_EQ(departedSeen(threads, ms(13)).first, 1u)
+        << "threads=" << threads << ": a global event after txDone sees it left";
   }
 }
 
