@@ -5,11 +5,12 @@
 #
 # Builds each revision in its own git worktree under build-ab/<sha>/ with the
 # same Release configuration, then runs CMD PAIRS times per side, alternating
-# the order (A first on even pairs, B first on odd ones) so drift on a shared
+# the order (A first on odd pairs, B first on even ones) so drift on a shared
 # host hits both sides alike. CMD runs from the worktree root; `{out}` in CMD
-# is replaced by the JSON path of that run. KEY is the dotted path of the
-# number to compare in that JSON (default: fig6.timed.events_per_sec); a
-# list is indexed by an integer part (fig6.rows.3.events_per_sec).
+# is replaced by the JSON path of that run, and `{pair}` by the pair number,
+# counting from 1. KEY is the dotted path of the number to compare in that
+# JSON (default: fig6.timed.events_per_sec); a list is indexed by an integer
+# part (fig6.rows.3.events_per_sec).
 # Prints every run, then per side the median and quartiles, and in how many
 # pairs B's value is higher than A's.
 #
@@ -17,6 +18,9 @@
 #   scripts/bench_ab.sh HEAD~1 HEAD 10 -- build/bench/bench_core --quick --out {out}
 #   scripts/bench_ab.sh HEAD~1 HEAD 10 fig6.rows.3.events_per_sec -- \
 #       build/bench/bench_parallel --quick --out {out}
+#   # perfbench, pair i at seed i:
+#   scripts/bench_ab.sh HEAD~1 HEAD 10 metrics.deliveries_per_s.value -- sh -c \
+#       'python3 perfbench/run.py --workload fig6_static --seed {pair} --seconds 25 --trace 0 | tail -1 > {out}'
 #
 # Worktrees are kept for reuse; drop them with `git worktree remove build-ab/<sha>`.
 set -euo pipefail
@@ -49,8 +53,12 @@ dir_a=$(checkout "$rev_a")
 dir_b=$(checkout "$rev_b")
 
 run() {  # SIDE DIR PAIR -> appends "SIDE value" to the results file
-  local out=$work/out/$1-$3.json
-  (cd "$2" && "${cmd[@]//\{out\}/$out}") >"$work/out/$1-$3.log" 2>&1
+  local out=$work/out/$1-$3.json arg args=()
+  for arg in "${cmd[@]}"; do
+    arg=${arg//\{out\}/$out}
+    args+=("${arg//\{pair\}/$3}")
+  done
+  (cd "$2" && "${args[@]}") >"$work/out/$1-$3.log" 2>&1
   python3 -c 'import json, sys
 v = json.load(open(sys.argv[1]))
 for k in sys.argv[2].split("."):
@@ -60,8 +68,8 @@ print(sys.argv[3], float(v))' "$out" "$key" "$1" | tee -a "$results"
 cmd=("$@")
 results=$work/out/results.txt
 : >"$results"
-for ((i = 0; i < pairs; i++)); do
-  if ((i % 2 == 0)); then
+for ((i = 1; i <= pairs; i++)); do
+  if ((i % 2 == 1)); then
     run A "$dir_a" "$i"; run B "$dir_b" "$i"
   else
     run B "$dir_b" "$i"; run A "$dir_a" "$i"

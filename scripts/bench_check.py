@@ -64,10 +64,9 @@ MAX_LOOP_ALLOCS_PER_EVENT = 0.01
 MAX_FIG6_ALLOCS_PER_EVENT = 0.3
 # Process peak RSS right after fig6's timed pass (the audited pass after it
 # holds a delivery ledger and is not bounded), in MiB per bench_core mode.
-# With one plain Bloom bit set per Subscription Table face, --quick peaks near
-# 48 and a full run near 87; counting filters plus a transposed per-router
-# index of them peaked near 86 and 126.
-MAX_FIG6_TIMED_RSS_MIB = {"quick": 70, "full": 110}
+# With dense dedup rows, --quick peaks near 38 and a full run near 58; the
+# hashed dedup tables they replaced peaked near 47 and 86.
+MAX_FIG6_TIMED_RSS_MIB = {"quick": 44, "full": 65}
 
 
 def rate(section):

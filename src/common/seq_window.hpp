@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace gcopss {
@@ -61,60 +63,80 @@ class SeqWindow {
   // Bit i (word i / 64, bit i % 64) set: seq top_ - i was recorded.
   std::uint64_t bits_[2] = {0, 0};
 };
+static_assert(sizeof(SeqWindow) == 24);
 
-// Open-addressed map from a 64-bit key to an inline SeqWindow: one window
-// per publisher at a client, per (publisher, face) at a router. Flat slots,
-// linear probing, grown at half load. A slot is free while its window is
-// empty, so no key value is reserved as a marker. There is no erase: a
-// crash clears the whole table.
-class SeqWindowTable {
+// Dense index of a NodeId, sentinels included: kLocalFace (-2) -> 0,
+// kInvalidNode (-1) -> 1, node n -> n + 2.
+inline std::size_t denseNodeIndex(std::int32_t id) {
+  assert(id >= -2);
+  return static_cast<std::uint32_t>(id) + 2U;
+}
+
+// Numbers NodeIds 0, 1, 2, ... in the order they are first seen. A router
+// numbers the publishers it hears (its rows) and the faces it uses (its
+// slots) this way, so rows exist only for publishers seen.
+class FirstUseIndex {
  public:
-  // SeqWindow::checkAndInsert(seq) on the window for `key`, created empty on
-  // first use.
-  bool checkAndInsert(std::uint64_t key, std::uint64_t seq) {
-    if (used_ * 2 >= slots_.size()) grow();
-    std::size_t i = home(key);
-    while (!slots_[i].window.empty() && slots_[i].key != key) i = (i + 1) & mask_;
-    Slot& slot = slots_[i];
-    if (slot.window.empty()) {
-      slot.key = key;
-      ++used_;
-    }
-    return slot.window.checkAndInsert(seq);
-  }
-
-  void clear() {
-    slots_.clear();
-    used_ = 0;
+  std::uint32_t of(std::int32_t id) {
+    const std::size_t i = denseNodeIndex(id);
+    if (i >= numberOf_.size() || numberOf_[i] == 0) assign(i);
+    return numberOf_[i] - 1;
   }
 
  private:
-  struct Slot {
-    std::uint64_t key = 0;
-    SeqWindow window;
-  };
-
-  std::size_t home(std::uint64_t key) const {
-    return static_cast<std::size_t>(mix64(key)) & mask_;
+  // Amortized: runs once per id ever seen.
+  GCOPSS_COLD void assign(std::size_t i) {
+    if (i >= numberOf_.size()) numberOf_.resize(i + 1);
+    numberOf_[i] = ++count_;
   }
 
-  // Amortized growth reachable from the hot stForward: doubles the table a
-  // handful of times per run, then never again.
-  GCOPSS_COLD void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.window.empty()) continue;
-      std::size_t i = home(s.key);
-      while (!slots_[i].window.empty()) i = (i + 1) & mask_;
-      slots_[i] = s;
+  std::vector<std::uint32_t> numberOf_;  // denseNodeIndex(id) -> number + 1; 0: none
+  std::uint32_t count_ = 0;
+};
+
+// Dense SeqWindows in rows, indexed with no hashing: the window for (row,
+// slot) sits at row * width + slot, so a row is one contiguous run. A host
+// has one slot and indexes its rows by denseNodeIndex(publisher). A router
+// has a row per publisher it heard and a slot per face it used, both
+// numbered by a FirstUseIndex, so all probes of one publication at a router
+// land in one row. A row or slot past the end appears on first use, with
+// any before it, and adding either keeps every window. Room reserved past
+// the last row is never touched, so it never becomes resident. There is no
+// erase: a crash resets everything.
+class SeqWindowRows {
+ public:
+  // The window at (row, slot), created empty on first use. The reference is
+  // valid until the next at(), which may move every window.
+  SeqWindow& at(std::size_t row, std::size_t slot) {
+    if (row >= rows_ || slot >= width_) makeRoom(row, slot);
+    return windows_[row * width_ + slot];
+  }
+
+ private:
+  // Amortized growth reachable from the hot stForward: a router widens its
+  // rows once per face it ever uses, and room for rows doubles (from 16).
+  // So the windows move only when the rows widen or their room doubles.
+  GCOPSS_COLD void makeRoom(std::size_t row, std::size_t slot) {
+    const std::size_t rows = std::max(rows_, row + 1);
+    const std::size_t width = std::max(width_, slot + 1);
+    if (width > width_ || rows * width > windows_.capacity()) {
+      std::vector<SeqWindow> next;
+      next.reserve(std::max({rows, 2 * rows_, std::size_t{16}}) * width);
+      next.resize(rows_ * width);
+      for (std::size_t r = 0; r < rows_; ++r) {
+        std::copy_n(windows_.begin() + static_cast<std::ptrdiff_t>(r * width_), width_,
+                    next.begin() + static_cast<std::ptrdiff_t>(r * width));
+      }
+      windows_ = std::move(next);
+      width_ = width;
     }
+    windows_.resize(rows * width_);
+    rows_ = rows;
   }
 
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t used_ = 0;
+  std::size_t rows_ = 0;
+  std::size_t width_ = 0;  // slots per row
+  std::vector<SeqWindow> windows_;
 };
 
 }  // namespace gcopss

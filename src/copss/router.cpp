@@ -206,16 +206,6 @@ void CopssRouter::rpDeliver(NodeId arrivalFace, const PacketPtr& multicast) {
   if (opts_.autoBalance) maybeSplit();
 }
 
-namespace {
-
-// Key of the served-seq window for `publisher`'s publications on `face`.
-std::uint64_t servedKey(NodeId publisher, NodeId face) {
-  return (std::uint64_t{static_cast<std::uint32_t>(publisher)} << 32) |
-         static_cast<std::uint32_t>(face);
-}
-
-}  // namespace
-
 GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& multicast) {
   const auto& mcast = packet_cast<MulticastPacket>(multicast);
   std::vector<NodeId> faces = std::move(matchScratch_);
@@ -227,11 +217,15 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
   // Transient overlapping trees (during migration, or coarse subscriptions
   // spanning multiple RPs) can deliver a publication here more than once;
   // each face is served exactly once, and an arrival face counts as served.
+  // Every probe re-indexes the publisher's row: a send or a local callback
+  // may forward again and move the windows.
   if (excludeFace != kInvalidNode) {
-    served_.checkAndInsert(servedKey(mcast.publisher, excludeFace), mcast.seq);
+    served_.at(servedRow_.of(mcast.publisher), servedSlot_.of(excludeFace))
+        .checkAndInsert(mcast.seq);
   }
   for (NodeId face : faces) {
-    const bool served = served_.checkAndInsert(servedKey(mcast.publisher, face), mcast.seq);
+    const bool served = served_.at(servedRow_.of(mcast.publisher), servedSlot_.of(face))
+                            .checkAndInsert(mcast.seq);
     // A retransmission re-floods the tree: the served record cannot tell
     // "served" from "sent but lost downstream", so end hosts do the final
     // exact dedup. Local delivery has no link to lose on, so it stays
@@ -729,7 +723,9 @@ void CopssRouter::onCrash() {
   scopeRefs_.clear();
   sentUpstream_.clear();
   seenFloods_.clear();
-  served_.clear();
+  servedRow_ = {};
+  servedSlot_ = {};
+  served_ = {};
   // Heartbeat/failover volatile state dies with the node: pending tick
   // closures are cancelled via the generation bump, and the last-beacon
   // snapshot is forgotten so a restarted standby cannot fail over from (or

@@ -258,9 +258,11 @@ class CopssRouter : public Node {
   // seenFloods_ — reclaim nonces and migration txnIds use different
   // counters and could collide. Volatile (cleared on crash).
   std::unordered_map<std::uint64_t, NodeId> seenReclaims_;
-  // One SeqWindow per (publisher, face): the publisher's seqs already sent
-  // on, or arrived over, that face.
-  SeqWindowTable served_;
+  // One row per publisher heard, one SeqWindow per face in it: the
+  // publisher's seqs already sent on, or arrived over, that face.
+  FirstUseIndex servedRow_;   // publisher -> row
+  FirstUseIndex servedSlot_;  // face -> slot
+  SeqWindowRows served_;
   // Capacity-recycled scratch for stForward's ST match (moved out and back
   // around the fan-out loop, so reentrant forwards stay correct).
   std::vector<NodeId> matchScratch_;

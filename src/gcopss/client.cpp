@@ -93,7 +93,7 @@ void GCopssClient::handle(NodeId fromFace, const PacketPtr& pkt) {
     case Packet::Kind::Multicast: {
       const auto& mcast = packet_cast<copss::MulticastPacket>(pkt);
       if (mcast.publisher == id()) return;  // own update echoed back
-      if (seenSeqs_.checkAndInsert(static_cast<std::uint32_t>(mcast.publisher), mcast.seq)) {
+      if (seenSeqs_.at(denseNodeIndex(mcast.publisher), 0).checkAndInsert(mcast.seq)) {
         return;  // duplicate delivery
       }
       if (!matchesSubscription(mcast)) {

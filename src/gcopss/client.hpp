@@ -111,10 +111,11 @@ class GCopssClient : public Node {
   // leaves two equal entries): a publication matches iff one of its prefix
   // hashes is subscribed — the same hash-only test routers use.
   std::vector<std::uint64_t> subscriptionHashes_;
-  // One anti-replay window per publisher heard (contract above, beside
-  // ReliableOptions). Duplicates only occur transiently, during RP migration
-  // and retransmission, so each publisher needs only its recent seqs.
-  SeqWindowTable seenSeqs_;
+  // One anti-replay window per publisher (contract above, beside
+  // ReliableOptions), in row denseNodeIndex(publisher). Duplicates only
+  // occur transiently, during RP migration and retransmission, so each
+  // publisher needs only its recent seqs.
+  SeqWindowRows seenSeqs_;
   MulticastCallback onMulticast_;
   DataCallback onData_;
   // Node-unique nonce space: two consumers pulling the same name must not

@@ -235,6 +235,38 @@ TEST(CopssRouter, ArrivalFaceCountsAsServed) {
   EXPECT_FALSE(log.got(0, 1));
 }
 
+// A face the router starts using after it served a publication gets a
+// fresh window, and every face already served keeps its record: a repeat
+// copy goes out only on the new face. Router 1 hears two publishers, so the
+// new face widens rows that already hold windows, the second one included.
+TEST(CopssRouter, RepeatAfterNewFaceIsSuppressedPerFace) {
+  LineWorld w(4);
+  w.singleRootRp(0);
+  const auto pubFrom = [&w](std::size_t client) {
+    return makePacket<copss::MulticastPacket>(std::vector<Name>{Name::parse("/1/1")}, 20,
+                                              ms(100), 1, w.clientIds[client]);
+  };
+  const PacketPtr first = pubFrom(0);
+  const PacketPtr second = pubFrom(3);
+  // Router 1 serves both publications on its host face, then router 2
+  // subscribes through it, and both copies arrive again from router 0.
+  w.sim->scheduleAt(0, [&]() { w.clients[1]->subscribe(Name::parse("/1")); });
+  w.sim->scheduleAt(ms(100), [&]() { w.routers[1]->handle(w.routerIds[0], first); });
+  w.sim->scheduleAt(ms(110), [&]() { w.routers[1]->handle(w.routerIds[0], second); });
+  w.sim->scheduleAt(ms(150), [&]() { w.clients[2]->subscribe(Name::parse("/1")); });
+  w.sim->scheduleAt(ms(200), [&]() {
+    EXPECT_EQ(w.routers[1]->multicastsForwarded(), 2u);  // both to client 1
+    w.routers[1]->handle(w.routerIds[0], second);
+  });
+  w.sim->scheduleAt(ms(210), [&]() { w.routers[1]->handle(w.routerIds[0], first); });
+  w.sim->run();
+
+  EXPECT_EQ(w.routers[1]->multicastsForwarded(), 4u);  // + each once to router 2
+  EXPECT_EQ(w.routers[1]->duplicatesSuppressed(), 2u);  // client 1's face, twice
+  EXPECT_EQ(w.clients[1]->received(), 2u);
+  EXPECT_EQ(w.clients[2]->received(), 2u);
+}
+
 TEST(CopssRouter, UnroutablePublicationIsCountedNotCrashed) {
   LineWorld w(2);
   // No assignment at all: the CD FIB is empty everywhere.

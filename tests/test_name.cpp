@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/name_table.hpp"
 #include "common/rng.hpp"
 #include "common/seq_window.hpp"
+#include "ndn/packets.hpp"
 
 namespace gcopss::test {
 namespace {
@@ -167,33 +169,45 @@ TEST(NameTable, IsPrefixOfAgreesWithName) {
 // so any behavioral drift is a protocol change.
 // ---------------------------------------------------------------------------
 
-// Windows reached through a SeqWindowTable, each checked against an exact
-// std::set of the seqs it reported new. The keys include the extremes a
-// router forms for a kInvalidNode publisher or kLocalFace, and enough others
-// to grow the table mid-run. Seqs mix reordering inside the span, jumps past
-// it, and arrivals exactly at its inner and outer edges.
+// Windows reached through SeqWindowRows, each checked against an exact
+// std::set of the seqs it reported new. Keys are (publisher, face) pairs,
+// the kInvalidNode publisher and the kLocalFace slot among them, and every
+// op goes to two layouts: rows numbered by first use, as a router keeps
+// them, and rows indexed by denseNodeIndex, as a host does. Publishers and
+// faces are unlocked one by one over the first half of the run, so rows are
+// added and widened while older windows hold state. Seqs mix reordering
+// inside the span, jumps past it, and arrivals exactly at its inner and
+// outer edges.
 TEST(SeqWindow, MatchesSetReferenceWithinSpan) {
   constexpr std::uint64_t kSpan = SeqWindow::kSpan;
   struct Ref {
     std::uint64_t top = 0;
     std::set<std::uint64_t> reportedNew;
   };
-  std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}, 0xFFFFFFFFFFFFFFFEULL,
-                                     0x00000000FFFFFFFFULL};
-  for (std::uint64_t k = 1; k <= 60; ++k) keys.push_back(k * 0x9e3779b97f4a7c15ULL);
-  std::vector<Ref> refs(keys.size());
-  SeqWindowTable table;
+  // In unlock order. Neighbouring ids catch a row map that merges them.
+  const std::vector<NodeId> publishers = {5,  kInvalidNode, 0,  6,    1,   300, 2,  4,
+                                          64, 63,           65, 4097, 7,   3,   8,  1000};
+  const std::vector<NodeId> faces = {3, ndn::kLocalFace, 0, 4, 1, 2, 40, 1023};
+  std::map<std::pair<std::size_t, std::size_t>, Ref> refs;
+  FirstUseIndex rowOf;
+  FirstUseIndex slotOf;
+  SeqWindowRows routerRows;
+  SeqWindowRows directRows;
   Rng rng(6479);
-  for (int i = 0; i < 200000; ++i) {
-    const auto k = static_cast<std::size_t>(
-        rng.uniformInt(0, static_cast<std::int64_t>(keys.size()) - 1));
-    Ref& ref = refs[k];
+  const auto draw = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<std::uint64_t>(
+        rng.uniformInt(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  constexpr int kOps = 200000;
+  for (int i = 0; i < kOps; ++i) {
+    const auto live = [i](std::size_t n) {
+      return std::min(n, 1 + n * static_cast<std::size_t>(i) / (kOps / 2));
+    };
+    const std::size_t p = draw(0, live(publishers.size()) - 1);
+    const std::size_t f = draw(0, live(faces.size()) - 1);
+    Ref& ref = refs[{p, f}];
     // `back(d)`: d below the highest seq seen, floored at seq 1.
     const auto back = [&ref](std::uint64_t d) { return ref.top > d ? ref.top - d : 1; };
-    const auto draw = [&rng](std::uint64_t lo, std::uint64_t hi) {
-      return static_cast<std::uint64_t>(
-          rng.uniformInt(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
-    };
     std::uint64_t seq = 0;
     switch (rng.uniformInt(0, 6)) {
       case 0: seq = ref.top + draw(1, 4); break;                  // advance
@@ -205,8 +219,12 @@ TEST(SeqWindow, MatchesSetReferenceWithinSpan) {
     }
     const bool tracked = seq > ref.top || ref.top - seq < kSpan;
     const bool expectSeen = !tracked || ref.reportedNew.count(seq) > 0;
-    ASSERT_EQ(table.checkAndInsert(keys[k], seq), expectSeen)
-        << "key " << keys[k] << " seq " << seq << " top " << ref.top << " step " << i;
+    const std::uint32_t slot = slotOf.of(faces[f]);
+    ASSERT_EQ(routerRows.at(rowOf.of(publishers[p]), slot).checkAndInsert(seq), expectSeen)
+        << "publisher " << publishers[p] << " face " << faces[f] << " seq " << seq << " top "
+        << ref.top << " step " << i;
+    ASSERT_EQ(directRows.at(denseNodeIndex(publishers[p]), slot).checkAndInsert(seq), expectSeen)
+        << "direct rows: publisher " << publishers[p] << " face " << faces[f] << " step " << i;
     if (!expectSeen) {
       ASSERT_TRUE(ref.reportedNew.insert(seq).second) << "seq " << seq << " reported new twice";
       ref.top = std::max(ref.top, seq);
