@@ -1,40 +1,30 @@
-// bench_core — hot-path throughput harness for the simulation core.
+// bench_core — throughput harness for the bare event loop.
 //
-// Two workloads, one JSON report:
-//   1. A pure event-loop microbench: 64 self-rescheduling strands whose
-//      handlers carry ~32-byte captures (the size class of the network hot
-//      path's transmit/enqueueCpu lambdas), measuring events/sec, ns/event
-//      and — via a global operator new interposer — allocations/event.
-//   2. The Fig. 6 scaling scenario at its heaviest point (400 players,
-//      3 RPs), timed clean and then re-run with the InvariantChecker
-//      attached through GCopssRunConfig::onWorldReady/onRunDrained so the
-//      throughput numbers are certified leak-free (strict end-of-run packet
-//      conservation plus the state invariants) and exactly-once (the
-//      delivery audit), not just fast.
+// 64 self-rescheduling strands whose handlers carry ~32-byte captures (the
+// size class of the network hot path's transmit/enqueueCpu lambdas),
+// measuring events/sec, ns/event and — via a global operator new
+// interposer — allocations/event. Fig. 6's host cost (wall time, allocations
+// per delivery, peak RSS, certified by the exactly-once delivery audit) is
+// measured by perfbench's fig6_static workload.
 //
 // Usage: bench_core [--quick] [--out PATH]
-//   --quick  CI-sized run (~10x smaller); same schema, field "mode": "quick"
+//   --quick  CI-sized run (10x fewer events); same schema, field "mode": "quick"
 //   --out    where to write the JSON (default bench_results/BENCH_core.json)
 //
-// The committed /BENCH_core.json keeps a {"before": ..., "after": ...} pair
-// from this harness across the hot-path overhaul; scripts/bench_check.py
-// compares a fresh --quick run against the committed "after" baseline.
-// Before/after legs of a change are two git revisions of this binary,
-// interleaved by scripts/bench_ab.sh.
-
-#include <sys/resource.h>
+// The committed /BENCH_core.json keeps a --quick run of this harness as
+// "quick_reference", beside a perfbench fig6_static line; scripts/bench_check.py
+// gates fresh runs of both against it. Before/after legs of a change are two
+// git revisions of this binary, interleaved by scripts/bench_ab.sh.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <string>
 
 #include "bench_common.hpp"
-#include "check/invariants.hpp"
 #include "common/hash.hpp"
 #include "des/simulator.hpp"
 
@@ -49,7 +39,6 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 namespace {
 std::uint64_t g_news = 0;
-std::uint64_t g_deletes = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -58,10 +47,7 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept {
-  if (p) ++g_deletes;
-  std::free(p);
-}
+void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
@@ -73,10 +59,7 @@ void* operator new(std::size_t n, std::align_val_t al) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-void operator delete(void* p, std::align_val_t) noexcept {
-  if (p) ++g_deletes;
-  std::free(p);
-}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t al) noexcept { ::operator delete(p, al); }
 void operator delete(void* p, std::size_t, std::align_val_t al) noexcept {
   ::operator delete(p, al);
@@ -88,7 +71,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t al) noexcept {
 namespace {
 
 using namespace gcopss;
-using namespace gcopss::gc;
 
 double wallSeconds(std::chrono::steady_clock::time_point a,
                    std::chrono::steady_clock::time_point b) {
@@ -109,7 +91,7 @@ struct Measurement {
   }
 };
 
-// ---- workload 1: pure event loop --------------------------------------
+// ---- the event loop ---------------------------------------------------
 
 struct Strand {
   std::uint64_t remaining = 0;
@@ -158,100 +140,6 @@ Measurement runEventLoop(std::uint64_t totalEvents) {
   return m;
 }
 
-// ---- workload 2: fig6 scaling scenario at 400 players ------------------
-
-struct Fig6Result {
-  Measurement timed;
-  RunSummary summary;
-  // Process peak RSS right after the timed pass, before the audited pass's
-  // delivery ledger raises it.
-  long timedPeakRssKb = 0;
-  // audited re-run
-  bool auditOk = false;
-  std::size_t auditViolations = 0;
-  std::uint64_t audits = 0;
-  std::uint64_t publicationsTracked = 0;
-  std::string auditReport;
-};
-
-long peakRssKb() {
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;
-}
-
-trace::Trace makeFig6Trace(const game::GameMap& map, const game::ObjectDatabase& db,
-                           SimTime duration) {
-  trace::CsTraceConfig tcfg;
-  tcfg.players = 400;
-  tcfg.meanInterArrival = static_cast<SimTime>(usF(2400) * 414.0 / 400.0);
-  tcfg.totalUpdates = static_cast<std::size_t>(duration / tcfg.meanInterArrival);
-  tcfg.seed = 42 + tcfg.players;
-  return trace::generateCsTrace(map, db, tcfg);
-}
-
-Fig6Result runFig6(SimTime duration) {
-  const auto map = bench::paperMap();
-  const auto db = bench::paperObjects(map);
-  const auto trace = makeFig6Trace(map, db, duration);
-
-  Fig6Result out;
-
-  {  // timed pass: no observer in the way.
-    GCopssRunConfig g;
-    g.numRps = 3;
-    const std::uint64_t allocs0 = g_news;
-    const auto t0 = std::chrono::steady_clock::now();
-    out.summary = runGCopssTrace(map, trace, g);
-    const auto t1 = std::chrono::steady_clock::now();
-    out.timed.events = out.summary.eventsExecuted;
-    out.timed.wallSec = wallSeconds(t0, t1);
-    out.timed.allocs = g_news - allocs0;
-  }
-  out.timedPeakRssKb = peakRssKb();
-
-  {  // audited pass: same world, InvariantChecker observing every packet.
-    GCopssRunConfig g;
-    g.numRps = 3;
-    std::unique_ptr<check::InvariantChecker> checker;
-    g.onWorldReady = [&](const GCopssRunConfig::WorldView& wv) {
-      check::InvariantChecker::Options opts;
-      opts.checkDelivery = true;
-      checker = std::make_unique<check::InvariantChecker>(wv.net, wv.routers, wv.clients,
-                                                          opts);
-      checker->schedulePeriodic(seconds(1), duration + seconds(1));
-    };
-    g.onRunDrained = [&](const GCopssRunConfig::WorldView&) {
-      checker->finalAudit();
-      out.auditOk = checker->ok();
-      out.auditViolations = checker->violations().size();
-      out.audits = checker->stats().audits;
-      out.publicationsTracked = checker->stats().publicationsTracked;
-      if (!out.auditOk) out.auditReport = checker->reportText();
-      checker.reset();  // detach before the Network is torn down
-    };
-    (void)runGCopssTrace(map, trace, g);
-  }
-  return out;
-}
-
-// ---- report ------------------------------------------------------------
-
-void writeMeasurement(std::FILE* f, const char* key, const Measurement& m, bool trailingComma) {
-  std::fprintf(f,
-               "    \"%s\": {\n"
-               "      \"events\": %llu,\n"
-               "      \"wall_sec\": %.6f,\n"
-               "      \"events_per_sec\": %.1f,\n"
-               "      \"ns_per_event\": %.2f,\n"
-               "      \"allocs\": %llu,\n"
-               "      \"allocs_per_event\": %.4f\n"
-               "    }%s\n",
-               key, static_cast<unsigned long long>(m.events), m.wallSec, m.eventsPerSec(),
-               m.nsPerEvent(), static_cast<unsigned long long>(m.allocs), m.allocsPerEvent(),
-               trailingComma ? "," : "");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -269,68 +157,40 @@ int main(int argc, char** argv) {
   }
   if (outPath.empty()) outPath = bench::resultPath("BENCH_core.json");
 
-  bench::printHeader("core hot-path throughput (event loop + Fig. 6 @ 400 players)",
-                     "perf harness; not a paper figure");
+  bench::printHeader("core event-loop throughput", "perf harness; not a paper figure");
 
   const std::uint64_t loopEvents = quick ? 400'000 : 4'000'000;
-  const SimTime fig6Duration = quick ? seconds(3) : seconds(30);
-
-  std::printf("[1/2] event-loop microbench: %llu events...\n",
+  std::printf("event-loop microbench: %llu events...\n",
               static_cast<unsigned long long>(loopEvents));
   std::fflush(stdout);
   const Measurement loop = runEventLoop(loopEvents);
   std::printf("      %.0f events/sec, %.1f ns/event, %.3f allocs/event\n", loop.eventsPerSec(),
               loop.nsPerEvent(), loop.allocsPerEvent());
 
-  std::printf("[2/2] fig6 scenario (400 players, 3 RPs, %lld s sim)...\n",
-              static_cast<long long>(fig6Duration / kSecond));
-  std::fflush(stdout);
-  const Fig6Result fig6 = runFig6(fig6Duration);
-  std::printf("      %.0f events/sec, %.1f ns/event, %.3f allocs/event, mean latency %.2f ms, "
-              "peak RSS %ld KB\n",
-              fig6.timed.eventsPerSec(), fig6.timed.nsPerEvent(), fig6.timed.allocsPerEvent(),
-              fig6.summary.meanMs, fig6.timedPeakRssKb);
-  std::printf("      audit: %s (%llu audits, %llu publications tracked, %zu violations)\n",
-              fig6.auditOk ? "clean" : "VIOLATIONS", static_cast<unsigned long long>(fig6.audits),
-              static_cast<unsigned long long>(fig6.publicationsTracked), fig6.auditViolations);
-  if (!fig6.auditOk) std::printf("%s\n", fig6.auditReport.c_str());
-
-  const long rssKb = peakRssKb();
   std::FILE* f = std::fopen(outPath.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"gcopss-bench-core-v1\",\n  \"mode\": \"%s\",\n",
-               quick ? "quick" : "full");
-  std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", rssKb);
-  std::fprintf(f, "  \"event_loop\": {\n");
-  writeMeasurement(f, "loop", loop, false);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fig6\": {\n");
-  std::fprintf(f, "    \"players\": 400,\n    \"sim_seconds\": %lld,\n",
-               static_cast<long long>(fig6Duration / kSecond));
-  writeMeasurement(f, "timed", fig6.timed, true);
-  std::fprintf(f, "    \"timed_peak_rss_kb\": %ld,\n", fig6.timedPeakRssKb);
   std::fprintf(f,
-               "    \"deliveries\": %llu,\n"
-               "    \"mean_latency_ms\": %.3f,\n"
-               "    \"p99_latency_ms\": %.3f,\n"
-               "    \"link_packets\": %llu,\n"
-               "    \"audit\": {\n"
-               "      \"ok\": %s,\n"
-               "      \"violations\": %zu,\n"
-               "      \"audits\": %llu,\n"
-               "      \"publications_tracked\": %llu\n"
-               "    }\n",
-               static_cast<unsigned long long>(fig6.summary.deliveries), fig6.summary.meanMs,
-               fig6.summary.p99Ms, static_cast<unsigned long long>(fig6.summary.linkPackets),
-               fig6.auditOk ? "true" : "false", fig6.auditViolations,
-               static_cast<unsigned long long>(fig6.audits),
-               static_cast<unsigned long long>(fig6.publicationsTracked));
-  std::fprintf(f, "  }\n}\n");
+               "{\n"
+               "  \"schema\": \"gcopss-bench-core-v2\",\n"
+               "  \"mode\": \"%s\",\n"
+               "  \"event_loop\": {\n"
+               "    \"loop\": {\n"
+               "      \"events\": %llu,\n"
+               "      \"wall_sec\": %.6f,\n"
+               "      \"events_per_sec\": %.1f,\n"
+               "      \"ns_per_event\": %.2f,\n"
+               "      \"allocs\": %llu,\n"
+               "      \"allocs_per_event\": %.4f\n"
+               "    }\n"
+               "  }\n"
+               "}\n",
+               quick ? "quick" : "full", static_cast<unsigned long long>(loop.events),
+               loop.wallSec, loop.eventsPerSec(), loop.nsPerEvent(),
+               static_cast<unsigned long long>(loop.allocs), loop.allocsPerEvent());
   std::fclose(f);
-  std::printf("(JSON written to %s; peak RSS %ld KB)\n", outPath.c_str(), rssKb);
-
-  return fig6.auditOk ? 0 : 1;
+  std::printf("(JSON written to %s)\n", outPath.c_str());
+  return 0;
 }

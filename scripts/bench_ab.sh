@@ -3,24 +3,27 @@
 #
 #   scripts/bench_ab.sh REV_A REV_B PAIRS [KEY] -- CMD...
 #
-# Builds each revision in its own git worktree under build-ab/<sha>/ with the
-# same Release configuration, then runs CMD PAIRS times per side, alternating
-# the order (A first on odd pairs, B first on even ones) so drift on a shared
-# host hits both sides alike. CMD runs from the worktree root; `{out}` in CMD
-# is replaced by the JSON path of that run, and `{pair}` by the pair number,
-# counting from 1. KEY is the dotted path of the number to compare in that
-# JSON (default: fig6.timed.events_per_sec); a list is indexed by an integer
-# part (fig6.rows.3.events_per_sec).
+# Checks out each revision in its own git worktree under build-ab/<sha>/ and
+# builds nothing itself: CMD builds what it runs (perfbench/run.py builds its
+# own .bench_build/). CMD runs PAIRS times per side from the worktree root,
+# alternating the order (A first on odd pairs, B first on even ones) so drift
+# on a shared host hits both sides alike; an unchanged build is a no-op after
+# the first pair. `{out}` in CMD is replaced by the JSON path of that run, and
+# `{pair}` by the pair number, counting from 1. KEY is the dotted path of the
+# number to compare in that JSON (default: metrics.deliveries_per_s.value, a
+# perfbench result line); a list is indexed by an integer part
+# (fig6.rows.3.events_per_sec).
 # Prints every run, then per side the median and quartiles, and in how many
 # pairs B's value is higher than A's.
 #
 # Examples (the "before" leg of a change is its parent commit):
-#   scripts/bench_ab.sh HEAD~1 HEAD 10 -- build/bench/bench_core --quick --out {out}
-#   scripts/bench_ab.sh HEAD~1 HEAD 10 fig6.rows.3.events_per_sec -- \
-#       build/bench/bench_parallel --quick --out {out}
 #   # perfbench, pair i at seed i:
-#   scripts/bench_ab.sh HEAD~1 HEAD 10 metrics.deliveries_per_s.value -- sh -c \
+#   scripts/bench_ab.sh HEAD~1 HEAD 10 -- sh -c \
 #       'python3 perfbench/run.py --workload fig6_static --seed {pair} --seconds 25 --trace 0 | tail -1 > {out}'
+#   scripts/bench_ab.sh HEAD~1 HEAD 10 fig6.rows.3.events_per_sec -- sh -c \
+#       'cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+#        cmake --build build --target bench_parallel >/dev/null &&
+#        build/bench/bench_parallel --quick --out {out}'
 #
 # Worktrees are kept for reuse; drop them with `git worktree remove build-ab/<sha>`.
 set -euo pipefail
@@ -30,7 +33,7 @@ usage() { echo "usage: $0 REV_A REV_B PAIRS [KEY] -- CMD..." >&2; exit 2; }
 [[ $# -ge 5 ]] || usage
 rev_a=$1 rev_b=$2 pairs=$3
 shift 3
-key=fig6.timed.events_per_sec
+key=metrics.deliveries_per_s.value
 if [[ $1 != -- ]]; then key=$1; shift; fi
 [[ $# -ge 2 && $1 == -- ]] || usage
 shift
@@ -40,13 +43,11 @@ root=$(git rev-parse --show-toplevel)
 work=$root/build-ab
 mkdir -p "$work/out"
 
-checkout() {  # REV -> worktree dir with a Release build of REV
+checkout() {  # REV -> worktree dir of REV
   local sha dir
   sha=$(git -C "$root" rev-parse --short=12 "$1^{commit}")
   dir=$work/$sha
   [[ -d $dir ]] || git -C "$root" worktree add --detach "$dir" "$sha" >&2
-  cmake -S "$dir" -B "$dir/build" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$dir/build" -j "$(nproc)" >/dev/null
   echo "$dir"
 }
 dir_a=$(checkout "$rev_a")

@@ -1,15 +1,25 @@
 #!/usr/bin/env python3
-"""Guard bench_core throughput against regressions.
+"""Guard the core benchmarks against regressions.
 
-Compares a fresh `bench_core --quick` run against the committed baseline
-(BENCH_core.json, field "quick_reference") and fails if events/sec on either
-workload regressed more than the threshold (default 20%), if the fig6 run
-broke an invariant (audit not ok: leaked packets, missed or duplicated
-deliveries), if its delivery audit tracked no publication at all, if
-allocations/event crept back up on the pure event loop or on fig6, or if the
-peak RSS after fig6's timed pass outgrew its per-mode bound. The allocation
-counts and the footprint are properties of the code, not rates, so they get
-absolute bounds rather than ratios.
+Two inputs are required, and each is gated against its reference in the
+committed baseline (BENCH_core.json):
+
+--fresh takes a fresh `bench_core --quick` run, compared with the field
+"quick_reference". It fails if the bare event loop's events/sec regressed
+more than the threshold (default 20%), or if the loop allocates again.
+
+--fig6-fresh takes the last stdout line (the result object) of
+`python3 perfbench/run.py --workload fig6_static --seed 1 --seconds 5
+--trace 0`, compared with the field "fig6_static_reference". This is Fig. 6
+at 400 players, certified by perfbench's delivery audit. It fails if the run
+is not correct, if any entitled delivery was missed or duplicated (failed >
+0), if the audit found no entitled delivery at all (attempted < 1), if
+steady-state allocations per delivery or the footprint's peak RSS exceed
+their absolute bounds, or if deliveries per reference second fell below
+(1 - threshold) of the reference. Allocation counts and the footprint are
+properties of the code, not rates, so they get absolute bounds rather than
+ratios. perfbench reports the rate in calibrated reference seconds, so it
+moves less between hosts than raw events/sec.
 
 With --parallel-fresh it additionally gates the multithreaded DES engine
 (BENCH_parallel schema): every config must have reproduced the serial run
@@ -39,8 +49,9 @@ hybrid run must actually exhibit aliasing waste (unwanted packets dropped at
 edges) — otherwise the group aliasing under test is not doing anything.
 
 Usage:
-  scripts/bench_check.py --fresh BENCH_core_quick.json [--baseline BENCH_core.json]
-                         [--threshold 0.20]
+  scripts/bench_check.py --fresh BENCH_core_quick.json
+                         --fig6-fresh BENCH_fig6_static_quick.json
+                         [--baseline BENCH_core.json] [--threshold 0.20]
                          [--parallel-fresh BENCH_parallel_quick.json]
                          [--min-speedup 1.3]
                          [--congestion-fresh BENCH_congestion_quick.json]
@@ -58,75 +69,68 @@ import sys
 # The steady-state event loop must stay allocation-free; allow only the
 # harness's own fixed startup allocations amortized over a --quick run.
 MAX_LOOP_ALLOCS_PER_EVENT = 0.01
-# fig6's timed window, world setup included. A --quick run counts about
-# 0.17 with per-publisher dedup windows; the hashed seq rings they replaced
-# counted 0.82.
-MAX_FIG6_ALLOCS_PER_EVENT = 0.3
-# Process peak RSS right after fig6's timed pass (the audited pass after it
-# holds a delivery ledger and is not bounded), in MiB per bench_core mode.
-# With dense dedup rows, --quick peaks near 38 and a full run near 58; the
-# hashed dedup tables they replaced peaked near 47 and 86.
-MAX_FIG6_TIMED_RSS_MIB = {"quick": 44, "full": 65}
+# fig6_static's operator new calls in the event-loop window per delivery
+# (world setup excluded). Seed 1 counts 0.188 on a 4-core host.
+MAX_FIG6_ALLOCS_PER_DELIVERY = 0.25
+# fig6_static's footprint pass: peak RSS of one plain run in its own
+# process. Seed 1 peaks at 47.8 MB.
+MAX_FIG6_PEAK_RSS_MB = 55
 
 
-def rate(section):
-    return section["events_per_sec"]
+def check_rate(label, unit, f, b, threshold):
+    """A rate may fall at most `threshold` below its reference."""
+    ratio = f / b if b > 0 else 0.0
+    print(f"{label}: fresh {f:,.0f} {unit} vs baseline {b:,.0f} ({ratio:.2%} of baseline)")
+    if ratio < 1.0 - threshold:
+        return [f"{label} {unit} regressed beyond {threshold:.0%}: {f:,.0f} vs baseline {b:,.0f}"]
+    return []
 
 
-def check(fresh, base, threshold):
-    failures = []
-
-    for label, fresh_m, base_m in [
-        ("event_loop", fresh["event_loop"]["loop"], base["event_loop"]["loop"]),
-        ("fig6", fresh["fig6"]["timed"], base["fig6"]["timed"]),
-    ]:
-        f, b = rate(fresh_m), rate(base_m)
-        ratio = f / b if b > 0 else 0.0
-        print(f"{label}: fresh {f:,.0f} events/sec vs baseline {b:,.0f} "
-              f"({ratio:.2%} of baseline)")
-        if ratio < 1.0 - threshold:
-            failures.append(
-                f"{label} events/sec regressed beyond {threshold:.0%}: "
-                f"{f:,.0f} vs baseline {b:,.0f}")
-
+def check_core(fresh, base, threshold):
+    """Gate a bench_core --quick run: the bare event loop's rate against the
+    reference, and its allocations against an absolute bound."""
     loop = fresh["event_loop"]["loop"]
-    loop_ape = loop["allocs"] / loop["events"] if loop["events"] else 0.0
-    print(f"event_loop allocs/event: {loop_ape:.6f}")
-    if loop_ape > MAX_LOOP_ALLOCS_PER_EVENT:
-        failures.append(
-            f"event loop allocates again: {loop_ape:.4f} allocs/event "
-            f"(bound {MAX_LOOP_ALLOCS_PER_EVENT})")
+    failures = check_rate("event_loop", "events/sec", loop["events_per_sec"],
+                          base["event_loop"]["loop"]["events_per_sec"], threshold)
 
-    fig6 = fresh["fig6"]["timed"]
-    fig6_ape = fig6["allocs"] / fig6["events"] if fig6["events"] else 0.0
-    print(f"fig6 allocs/event: {fig6_ape:.4f}")
-    if fig6_ape > MAX_FIG6_ALLOCS_PER_EVENT:
-        failures.append(
-            f"fig6 allocates more: {fig6_ape:.4f} allocs/event "
-            f"(bound {MAX_FIG6_ALLOCS_PER_EVENT})")
+    ape = loop["allocs"] / loop["events"] if loop["events"] else 0.0
+    print(f"event_loop allocs/event: {ape:.6f}")
+    if ape > MAX_LOOP_ALLOCS_PER_EVENT:
+        failures.append(f"event loop allocates again: {ape:.4f} allocs/event "
+                        f"(bound {MAX_LOOP_ALLOCS_PER_EVENT})")
+    return failures
 
-    mode = fresh.get("mode")
-    rss_kb = fresh["fig6"].get("timed_peak_rss_kb")
-    if mode not in MAX_FIG6_TIMED_RSS_MIB or rss_kb is None:
-        failures.append(f"fig6 timed peak RSS not gated: mode {mode!r}, "
-                        f"timed_peak_rss_kb {rss_kb!r}")
-    else:
-        rss_mib = rss_kb / 1024
-        bound = MAX_FIG6_TIMED_RSS_MIB[mode]
-        print(f"fig6 timed peak RSS: {rss_mib:.1f} MiB (bound {bound} MiB, {mode})")
-        if rss_mib > bound:
-            failures.append(f"fig6 timed pass peaks at {rss_mib:.1f} MiB RSS "
-                            f"(bound {bound} MiB for a {mode} run)")
 
-    audit = fresh["fig6"]["audit"]
-    tracked = audit.get("publications_tracked", 0)
-    print(f"fig6 audit: ok={audit['ok']} violations={audit['violations']} "
-          f"audits={audit['audits']} publications_tracked={tracked}")
-    if not audit["ok"]:
-        failures.append(f"invariant audit reported {audit['violations']} violation(s)")
-    if tracked <= 0:
-        failures.append("fig6 delivery audit tracked no publication")
+def check_fig6(fresh, base, threshold):
+    """Gate a perfbench fig6_static result: exactly-once delivery, steady-state
+    allocations, footprint, and the delivery rate against the reference."""
+    failures = []
+    metrics = fresh["metrics"]
+    attempted, failed = fresh["attempted"], fresh["failed"]
 
+    print(f"fig6_static audit: correct={fresh['correct']} attempted={attempted:,} "
+          f"failed={failed:,}")
+    if fresh["correct"] is not True:
+        failures.append("fig6_static: perfbench did not mark the run correct")
+    if failed != 0:
+        failures.append(f"fig6_static: {failed:,} entitled deliveries missed or duplicated")
+    if attempted < 1:
+        failures.append("fig6_static: the delivery audit found no entitled delivery")
+
+    apd = metrics["allocs_per_delivery"]["value"]
+    print(f"fig6_static allocs/delivery: {apd:.4f} (bound {MAX_FIG6_ALLOCS_PER_DELIVERY})")
+    if apd > MAX_FIG6_ALLOCS_PER_DELIVERY:
+        failures.append(f"fig6_static allocates more: {apd:.4f} allocs/delivery "
+                        f"(bound {MAX_FIG6_ALLOCS_PER_DELIVERY})")
+
+    rss = metrics["peak_rss_mb"]["value"]
+    print(f"fig6_static peak RSS: {rss:.1f} MB (bound {MAX_FIG6_PEAK_RSS_MB} MB)")
+    if rss > MAX_FIG6_PEAK_RSS_MB:
+        failures.append(f"fig6_static peaks at {rss:.1f} MB RSS "
+                        f"(bound {MAX_FIG6_PEAK_RSS_MB} MB)")
+
+    failures += check_rate("fig6_static", "deliveries/s", metrics["deliveries_per_s"]["value"],
+                           base["metrics"]["deliveries_per_s"]["value"], threshold)
     return failures
 
 
@@ -254,10 +258,14 @@ def check_hybrid(fresh, base):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fresh", required=True, help="JSON from a fresh bench_core --quick run")
+    ap.add_argument("--fig6-fresh", required=True,
+                    help="result line of a fresh perfbench fig6_static run "
+                         "(--seed 1 --seconds 5 --trace 0)")
     ap.add_argument("--baseline", default="BENCH_core.json",
                     help="committed baseline file (default: BENCH_core.json)")
     ap.add_argument("--threshold", type=float, default=0.20,
-                    help="allowed fractional events/sec regression (default 0.20)")
+                    help="allowed fractional regression of events/sec and "
+                         "deliveries/s (default 0.20)")
     ap.add_argument("--parallel-fresh", default=None,
                     help="JSON from a fresh bench_parallel --quick run (optional)")
     ap.add_argument("--min-speedup", type=float, default=1.3,
@@ -276,6 +284,8 @@ def main():
     try:
         with open(args.fresh) as f:
             fresh = json.load(f)
+        with open(args.fig6_fresh) as f:
+            fig6 = json.load(f)
         with open(args.baseline) as f:
             committed = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
@@ -283,15 +293,23 @@ def main():
         return 2
 
     base = committed.get("quick_reference")
-    if base is None:
-        print("bench_check: baseline file has no 'quick_reference' section", file=sys.stderr)
+    fig6_base = committed.get("fig6_static_reference")
+    if base is None or fig6_base is None:
+        print("bench_check: baseline file needs both 'quick_reference' and "
+              "'fig6_static_reference' sections", file=sys.stderr)
         return 2
     if fresh.get("mode") != base.get("mode"):
         print(f"bench_check: comparing mode={fresh.get('mode')!r} against "
               f"baseline mode={base.get('mode')!r} is apples-to-oranges", file=sys.stderr)
         return 2
 
-    failures = check(fresh, base, args.threshold)
+    try:
+        failures = check_core(fresh, base, args.threshold)
+        failures += check_fig6(fig6, fig6_base, args.threshold)
+    except (KeyError, TypeError) as e:
+        print(f"bench_check: malformed bench_core or fig6_static input: {e!r}",
+              file=sys.stderr)
+        return 2
 
     if args.parallel_fresh:
         try:

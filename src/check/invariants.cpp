@@ -617,19 +617,4 @@ std::string InvariantChecker::reportText() const {
   return out.str();
 }
 
-std::string InvariantChecker::strictPrefixFreeViolation(
-    const std::map<Name, NodeId>& prefixToRp) {
-  for (auto it = prefixToRp.begin(); it != prefixToRp.end(); ++it) {
-    for (auto jt = std::next(it); jt != prefixToRp.end(); ++jt) {
-      if (it->first.isStrictPrefixOf(jt->first) ||
-          jt->first.isStrictPrefixOf(it->first)) {
-        return "assignment not prefix-free: " + it->first.toString() + " (node " +
-               std::to_string(it->second) + ") nests with " + jt->first.toString() +
-               " (node " + std::to_string(jt->second) + ")";
-      }
-    }
-  }
-  return {};
-}
-
 }  // namespace gcopss::check

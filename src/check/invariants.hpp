@@ -132,12 +132,6 @@ class InvariantChecker : public PacketObserver {
   // invariant, detail, witness packet seqs) suitable for a failing test.
   std::string reportText() const;
 
-  // Strict static check of a planned assignment (the deploy-time contract;
-  // running routers are audited through auditNow() instead). Returns the
-  // offending pair description, or empty when prefix-free.
-  static std::string strictPrefixFreeViolation(
-      const std::map<Name, NodeId>& prefixToRp);
-
   // --- PacketObserver (called by Network; not for direct use) ---
   void onWireSend(NodeId from, NodeId to, const PacketPtr& pkt, SimTime now) override;
   void onCpuEnqueue(NodeId at, NodeId fromFace, const PacketPtr& pkt, SimTime now) override;

@@ -66,14 +66,6 @@ double SampleSet::percentile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
-double SampleSet::cdfAt(double x) const {
-  if (samples_.empty()) return 0.0;
-  ensureSorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
 std::vector<std::pair<double, double>> SampleSet::cdfPoints(std::size_t points) const {
   std::vector<std::pair<double, double>> out;
   if (samples_.empty() || points == 0) return out;
@@ -84,21 +76,6 @@ std::vector<std::pair<double, double>> SampleSet::cdfPoints(std::size_t points) 
     out.emplace_back(percentile(q), q);
   }
   return out;
-}
-
-std::string formatRow(const std::vector<std::string>& cells,
-                      const std::vector<int>& widths) {
-  std::string row;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int w = i < widths.size() ? widths[i] : 12;
-    std::string cell = cells[i];
-    if (static_cast<int>(cell.size()) < w) {
-      cell.insert(0, static_cast<std::size_t>(w) - cell.size(), ' ');
-    }
-    row += cell;
-    row += "  ";
-  }
-  return row;
 }
 
 }  // namespace gcopss

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace gcopss {
@@ -44,8 +44,6 @@ class SampleSet {
   double max() const;
   // q in [0,1]; linear interpolation between order statistics.
   double percentile(double q) const;
-  // Fraction of samples <= x.
-  double cdfAt(double x) const;
 
   // Evenly spaced CDF points (value, cumulative fraction) for plotting.
   std::vector<std::pair<double, double>> cdfPoints(std::size_t points = 50) const;
@@ -57,10 +55,5 @@ class SampleSet {
   std::vector<double> samples_;
   mutable bool sorted_ = false;
 };
-
-// Render a fixed-width ASCII table row; used by the bench binaries so every
-// table in the paper prints in a uniform format.
-std::string formatRow(const std::vector<std::string>& cells,
-                      const std::vector<int>& widths);
 
 }  // namespace gcopss

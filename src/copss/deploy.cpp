@@ -23,23 +23,6 @@ void RpAssignment::validatePrefixFree() const {
   }
 }
 
-NodeId RpAssignment::rpFor(const Name& cd) const {
-  // Prefix-freeness guarantees at most one assigned prefix matches.
-  for (const auto& [prefix, rp] : prefixToRp) {
-    if (prefix.isPrefixOf(cd)) return rp;
-  }
-  return kInvalidNode;
-}
-
-std::set<NodeId> RpAssignment::rps() const {
-  std::set<NodeId> out;
-  for (const auto& [prefix, rp] : prefixToRp) {
-    (void)prefix;
-    out.insert(rp);
-  }
-  return out;
-}
-
 RpAssignment buildBalancedAssignment(const std::vector<Name>& leafCds,
                                      const std::map<Name, double>& weights,
                                      const std::vector<NodeId>& rpNodes) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/name.hpp"
@@ -17,12 +16,6 @@ struct RpAssignment {
 
   // Throws std::invalid_argument if two assigned prefixes are nested.
   void validatePrefixFree() const;
-
-  // The RP serving `cd` (the unique assigned prefix of `cd`), or
-  // kInvalidNode if none matches.
-  NodeId rpFor(const Name& cd) const;
-
-  std::set<NodeId> rps() const;
 };
 
 // Partition `leafCds` across `rpNodes` so per-RP expected load (sum of

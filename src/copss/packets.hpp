@@ -59,6 +59,7 @@ struct UnsubscribePacket : Packet {
 inline void appendPrefixHashes(const Name& cd, std::vector<std::uint64_t>& out) {
   auto& names = NameTable::instance();
   const std::size_t base = out.size();
+  // gcopss-tidy: allow(hot-alloc) hashing at the first hop: one growth per MulticastPacket built or per allocating matchFaces() lookup; transit forwarding reuses the packet's hashes
   out.resize(base + cd.size() + 1);
   NameId cur = names.intern(cd);
   for (std::size_t len = cd.size() + 1; len-- > 0; cur = names.parent(cur)) {

@@ -19,10 +19,6 @@ void CopssRouter::addCdRoute(const Name& prefix, NodeId nextHopFace) {
   cdFib_.insert(prefix, nextHopFace);
 }
 
-void CopssRouter::removeCdRoute(const Name& prefix, NodeId nextHopFace) {
-  cdFib_.remove(prefix, nextHopFace);
-}
-
 void CopssRouter::becomeRp(const Name& prefix) {
   becomeRp(prefix, nextEpochFor(prefix));
 }
@@ -249,10 +245,6 @@ void CopssRouter::subscribeLocal(const Name& cd) {
   if (firstGlobally) propagateControl(cd, /*subscribe=*/true);
 }
 
-void CopssRouter::publishLocal(const PacketPtr& multicast) {
-  onMulticast(kInvalidNode, multicast);
-}
-
 // ------------------------------------------------------------ subscriptions
 
 void CopssRouter::onSubscribe(NodeId fromFace, const SubscribePacket& pkt) {
@@ -395,6 +387,7 @@ void CopssRouter::initiateSplit(NodeId newRp, std::vector<Name> cds) {
   // the successor epoch for each CD so the new RP's claim (and its FIB flood)
   // outranks every announcement from this ownership generation.
   std::vector<std::uint64_t> epochs;
+  // gcopss-tidy: allow(hot-alloc) RP split: one control-plane transaction per balancer decision, spaced by its cooldown
   epochs.reserve(cds.size());
   for (const Name& cd : cds) {
     const std::uint64_t successor = nextEpochFor(cd);
@@ -432,6 +425,7 @@ void CopssRouter::onHandoff(NodeId fromFace, const RpHandoffPacket& pkt) {
     t.confirmed = true;
     t.newDownstream.insert(fromFace);
     std::vector<std::uint64_t> epochs;
+    // gcopss-tidy: allow(hot-alloc) RP handoff endpoint: once per split transaction, not per publication
     epochs.reserve(pkt.cds.size());
     for (std::size_t i = 0; i < pkt.cds.size(); ++i) {
       const Name& cd = pkt.cds[i];

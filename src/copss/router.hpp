@@ -65,7 +65,6 @@ class CopssRouter : public Node {
 
   // ---- static control plane (installed by the deployment helper) ----
   void addCdRoute(const Name& prefix, NodeId nextHopFace);
-  void removeCdRoute(const Name& prefix, NodeId nextHopFace);
   // Claim `prefix` at the next ownership epoch (highest observed + 1); the
   // explicit-epoch overload is for the deploy layer (initial epoch 1) and for
   // tests that forge conflicting claims on purpose.
@@ -103,8 +102,6 @@ class CopssRouter : public Node {
   // to `onLocalMulticast` instead of a network face.
   void subscribeLocal(const Name& cd);
   std::function<void(const MulticastPacket&, SimTime now)> onLocalMulticast;
-  // Publish from the local application as if this router were the first hop.
-  void publishLocal(const PacketPtr& multicast);
 
   // ---- Node interface ----
   void handle(NodeId fromFace, const PacketPtr& pkt) override;

@@ -86,11 +86,4 @@ bool GameMap::sees(const Position& pos, const Name& cd) const {
   return false;
 }
 
-std::vector<Position> GameMap::allPositions() const {
-  std::vector<Position> out;
-  out.reserve(areas_.size());
-  for (const Name& a : areas_) out.push_back(Position{a});
-  return out;
-}
-
 }  // namespace gcopss::game

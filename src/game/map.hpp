@@ -61,9 +61,6 @@ class GameMap {
   // Does a subscriber at `pos` see a publication tagged with leaf CD `cd`?
   bool sees(const Position& pos, const Name& cd) const;
 
-  // Uniform helpers for the trace generator / movement model.
-  std::vector<Position> allPositions() const;  // every area as a position
-
  private:
   void build(const Name& area, std::size_t depth);
 

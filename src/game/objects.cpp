@@ -51,12 +51,6 @@ std::vector<ObjectId> ObjectDatabase::visibleObjects(const GameMap& map,
   return out;
 }
 
-Bytes ObjectDatabase::snapshotBytes(const Name& leafCd) const {
-  Bytes total = 0;
-  for (ObjectId id : objectsIn(leafCd)) total += objects_[id].snapshotBytes();
-  return total;
-}
-
 std::vector<ObjectDatabase::LayerChurn> ObjectDatabase::churnByLayer(
     const GameMap& map) const {
   std::vector<LayerChurn> out(map.layerCount());

@@ -61,10 +61,6 @@ class ObjectDatabase {
     objects_.at(id).applyUpdate(updateSize, lambda_);
   }
 
-  // Total bytes a broker must ship for a full snapshot of `leafCd`
-  // (unmodified objects cost nothing).
-  Bytes snapshotBytes(const Name& leafCd) const;
-
   // Per-layer update-count extremes, for reproducing the Section V-B
   // object-churn statistics.
   struct LayerChurn {

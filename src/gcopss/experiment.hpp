@@ -124,8 +124,8 @@ struct GCopssRunConfig {
   // run(); `onRunDrained` fires after the event queue drains, before
   // teardown. Lets a caller attach an InvariantChecker or a custom
   // PacketObserver to the live Network without duplicating the scenario —
-  // this is how bench_core certifies its throughput numbers leak-free
-  // (ROADMAP: "wire the invariant checker into the experiment harness").
+  // this is how perfbench splits setup, event loop and report, and how its
+  // audited pass certifies a run leak-free and exactly-once.
   struct WorldView {
     Network& net;
     const std::vector<copss::CopssRouter*>& routers;

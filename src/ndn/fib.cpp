@@ -30,13 +30,6 @@ GCOPSS_COLD void Fib::insert(const Name& prefix, NodeId face) {
   routes_[NameTable::instance().intern(prefix)].insert(face);
 }
 
-bool Fib::remove(const Name& prefix, NodeId face) {
-  const auto it = routes_.find(NameTable::instance().find(prefix));
-  if (it == routes_.end() || it->second.erase(face) == 0) return false;
-  if (it->second.empty()) routes_.erase(it);
-  return true;
-}
-
 void Fib::removePrefix(const Name& prefix) {
   routes_.erase(NameTable::instance().find(prefix));
 }

@@ -16,8 +16,6 @@ namespace gcopss::ndn {
 class Fib {
  public:
   void insert(const Name& prefix, NodeId face);
-  // Returns true if the (prefix, face) pair existed.
-  bool remove(const Name& prefix, NodeId face);
   // Remove every face registered for exactly this prefix.
   void removePrefix(const Name& prefix);
 

@@ -38,9 +38,4 @@ std::vector<NodeId> Pit::consume(const Name& name, SimTime now) {
   return faces;
 }
 
-bool Pit::contains(const Name& name, SimTime now) const {
-  const auto it = table_.find(name);
-  return it != table_.end() && it->second.expiry > now;
-}
-
 }  // namespace gcopss::ndn

@@ -30,7 +30,6 @@ class Pit {
   // must be sent to. Empty if no (live) entry.
   std::vector<NodeId> consume(const Name& name, SimTime now);
 
-  bool contains(const Name& name, SimTime now) const;
   std::size_t size() const { return table_.size(); }
 
  private:

@@ -193,23 +193,4 @@ SimTime Topology::pathDelay(NodeId from, NodeId to) const {
   return d;
 }
 
-std::vector<NodeId> Topology::path(NodeId from, NodeId to) const {
-  const SpfTree& tree = spfFrom(from);
-  std::vector<NodeId> p;
-  NodeId cur = to;
-  while (cur != kInvalidNode && cur != from) {
-    p.push_back(cur);
-    cur = tree.parent[static_cast<std::size_t>(cur)];
-  }
-  if (cur != from) return {};  // unreachable
-  p.push_back(from);
-  std::reverse(p.begin(), p.end());
-  return p;
-}
-
-std::size_t Topology::hopCount(NodeId from, NodeId to) const {
-  const auto p = path(from, to);
-  return p.empty() ? 0 : p.size() - 1;
-}
-
 }  // namespace gcopss

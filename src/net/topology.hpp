@@ -64,8 +64,6 @@ class Topology {
   // caches one SPF tree per source on demand.
   NodeId nextHop(NodeId from, NodeId to) const;
   SimTime pathDelay(NodeId from, NodeId to) const;
-  std::vector<NodeId> path(NodeId from, NodeId to) const;
-  std::size_t hopCount(NodeId from, NodeId to) const;
 
   // Drop all cached SPF state (call after mutating the graph).
   void invalidateRoutes() { spf_.clear(); }

@@ -1,8 +1,10 @@
 // gcopss-tidy self-test fixture: hot-alloc positives (direct and transitive
-// allocation under GCOPSS_HOT) and the GCOPSS_COLD barrier negative. Lexed
-// by the checker, never compiled — the annotation macros appear as plain
-// tokens, which is exactly what the checker matches.
+// allocation under GCOPSS_HOT, by new/make_shared and by container growth)
+// and the GCOPSS_COLD barrier negatives. Lexed by the checker, never
+// compiled — the annotation macros appear as plain tokens, which is exactly
+// what the checker matches.
 #include <memory>
+#include <vector>
 
 namespace fixture {
 
@@ -55,6 +57,32 @@ GCOPSS_HOT void pushBurst(Pool& p) {
     p.freeList = new Ev[2];
   }
   p.live += 2;
+}
+
+// Container growth: a `.resize(` or `.reserve(` member call may reallocate.
+struct Ring {
+  std::vector<Ev*> slots;
+  std::vector<int>* counts = nullptr;
+};
+
+GCOPSS_HOT void pushSlot(Ring& r, Ev* e) {
+  r.slots.resize(r.slots.size() + 1);  // gcopss-tidy:expect(hot-alloc)
+  r.slots.back() = e;
+}
+
+void widenCounts(Ring& r, std::size_t n) {
+  r.counts->reserve(n);  // gcopss-tidy:expect(hot-alloc)
+}
+
+// Negative: the same growth behind the cold barrier; reading size() and
+// capacity() on the hot path is not growth.
+GCOPSS_COLD void growSlots(Ring& r) {
+  r.slots.reserve(2 * r.slots.capacity() + 1);
+}
+
+GCOPSS_HOT void admitSlot(Ring& r, std::size_t n) {
+  if (r.slots.size() == r.slots.capacity()) growSlots(r);
+  widenCounts(r, n);
 }
 
 }  // namespace fixture

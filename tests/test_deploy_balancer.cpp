@@ -30,16 +30,6 @@ TEST(RpAssignment, RootAssignmentExcludesEverythingElse) {
   EXPECT_THROW(a.validatePrefixFree(), std::invalid_argument);
 }
 
-TEST(RpAssignment, RpForFindsTheUniqueServer) {
-  RpAssignment a;
-  a.prefixToRp[Name::parse("/1")] = 10;
-  a.prefixToRp[Name::parse("/2")] = 20;
-  EXPECT_EQ(a.rpFor(Name::parse("/1/3")), 10);
-  EXPECT_EQ(a.rpFor(Name::parse("/2")), 20);
-  EXPECT_EQ(a.rpFor(Name::parse("/9")), kInvalidNode);
-  EXPECT_EQ(a.rps(), (std::set<NodeId>{10, 20}));
-}
-
 TEST(BalancedAssignment, SingleRpGetsTheRoot) {
   const auto a = buildBalancedAssignment({Name::parse("/1"), Name::parse("/2")}, {}, {5});
   ASSERT_EQ(a.prefixToRp.size(), 1u);
@@ -57,7 +47,7 @@ TEST(BalancedAssignment, WeightsBalanceLoad) {
   // The hot CD's RP should carry almost nothing else.
   double load[2] = {0, 0};
   for (const auto& [cd, rp] : a.prefixToRp) load[rp - 1] += weights[cd];
-  const NodeId hotRp = a.rpFor(leaves[0]);
+  const NodeId hotRp = a.prefixToRp.at(leaves[0]);
   EXPECT_EQ(load[hotRp - 1], 100.0) << "hot CD isolated on its own RP";
   a.validatePrefixFree();
 }
@@ -66,7 +56,7 @@ TEST(BalancedAssignment, EveryLeafIsCovered) {
   std::vector<Name> leaves;
   for (int i = 0; i < 31; ++i) leaves.push_back(Name::parse("/L/" + std::to_string(i)));
   const auto a = buildBalancedAssignment(leaves, {}, {1, 2, 3});
-  for (const Name& leaf : leaves) EXPECT_NE(a.rpFor(leaf), kInvalidNode);
+  for (const Name& leaf : leaves) EXPECT_EQ(a.prefixToRp.count(leaf), 1u) << leaf.toString();
 }
 
 // ---------------- RpLoadBalancer ----------------

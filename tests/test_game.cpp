@@ -124,15 +124,6 @@ TEST(Objects, VisibleObjectsFollowVisibility) {
   EXPECT_EQ(satSees.size(), 3197u);
 }
 
-TEST(Objects, SnapshotBytesSumsChangedOnly) {
-  GameMap map({2, 2});
-  ObjectDatabase db(map, {4, 0, 0});
-  const auto& ids = db.objectsIn(Name::parse("/_"));
-  db.applyUpdate(ids[0], 50);
-  db.applyUpdate(ids[1], 70);
-  EXPECT_EQ(db.snapshotBytes(Name::parse("/_")), 120u);
-}
-
 // ---------------- Movement classification (Table III) ----------------
 
 // `name` is what GoogleTest prints for the case, and so what CTest names the

@@ -164,14 +164,5 @@ TEST(InvariantAudit, ReliablePublishUnderLossStaysExactlyOnce) {
   EXPECT_EQ(checker.stats().publicationsTracked, seq);
 }
 
-// The strict deploy-time contract stays available as a static check.
-TEST(InvariantAudit, StrictPrefixFreeHelper) {
-  std::map<Name, NodeId> good{{Name::parse("/1"), 1}, {Name::parse("/2"), 2}};
-  EXPECT_TRUE(InvariantChecker::strictPrefixFreeViolation(good).empty());
-  std::map<Name, NodeId> bad{{Name::parse("/1"), 1}, {Name::parse("/1/2"), 2}};
-  const std::string msg = InvariantChecker::strictPrefixFreeViolation(bad);
-  EXPECT_NE(msg.find("not prefix-free"), std::string::npos) << msg;
-}
-
 }  // namespace
 }  // namespace gcopss::test

@@ -36,11 +36,9 @@ TEST(Fib, MultipleFacesPerPrefix) {
   Fib fib;
   fib.insert(Name::parse("/m"), 1);
   fib.insert(Name::parse("/m"), 2);
-  const auto faces = fib.lpm(Name::parse("/m/x"));
-  EXPECT_EQ(faces.size(), 2u);
-  EXPECT_TRUE(fib.remove(Name::parse("/m"), 1));
-  EXPECT_EQ(fib.lpm(Name::parse("/m/x")), (std::vector<NodeId>{2}));
-  EXPECT_FALSE(fib.remove(Name::parse("/m"), 1));  // already gone
+  fib.insert(Name::parse("/m"), 1);  // a repeated pair is one entry
+  EXPECT_EQ(fib.lpm(Name::parse("/m/x")), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(fib.entryCount(), 2u);
 }
 
 TEST(Fib, RemovePrefixClearsAllFaces) {
@@ -102,8 +100,8 @@ TEST(Fib, IntersectingOrderIsDeterministic) {
 TEST(Fib, LpmMatchesRouteModelUnderChurn) {
   // The one LPM — lpmFaces over the interner's parent chain, and lpm(Name)
   // on top of it — against a model: the faces of the longest prefix in the
-  // test's own live (prefix, face) list, under inserts, removes and bulk
-  // removePrefix.
+  // test's own live (prefix, face) list, under inserts and removePrefix
+  // (the one removal routers use).
   Fib fib;
   auto& names = NameTable::instance();
   Rng rng(23);
@@ -151,10 +149,9 @@ TEST(Fib, LpmMatchesRouteModelUnderChurn) {
           live.push_back(std::move(route));
         }
       } else {
-        const auto pick = below(live.size());
-        EXPECT_TRUE(fib.remove(live[pick].first, live[pick].second));
-        live[pick] = live.back();
-        live.pop_back();
+        const Name prefix = live[below(live.size())].first;
+        fib.removePrefix(prefix);
+        std::erase_if(live, [&prefix](const auto& route) { return route.first == prefix; });
       }
     }
     ASSERT_EQ(fib.entryCount(), live.size());
@@ -167,7 +164,7 @@ TEST(Fib, LpmMatchesRouteModelUnderChurn) {
       expectLpm(name);
     }
   }
-  // removePrefix clears every face of exactly that prefix.
+  // Drain: removePrefix clears every face of exactly that prefix.
   while (!live.empty()) {
     const Name prefix = live.front().first;
     fib.removePrefix(prefix);
@@ -193,7 +190,6 @@ TEST(Fib, LookupsNeverIntern) {
   // Only the routed ancestors of a never-interned name intersect it: the
   // sibling route /1/z is not under /1/q.
   EXPECT_EQ(fib.intersecting(unseen), (std::vector<Name>{Name(), Name::parse("/1")}));
-  EXPECT_FALSE(fib.remove(unseen, 2));
   fib.removePrefix(unseen);
   EXPECT_EQ(names.size(), interned);
   EXPECT_EQ(fib.entryCount(), 3u);
@@ -226,13 +222,16 @@ TEST(Pit, SameFaceRetransmissionForwardsAgain) {
 
 TEST(Pit, ExpiryRemovesEntries) {
   Pit pit(ms(100));
-  pit.insert(Name::parse("/n"), 1, 1, 0);
-  EXPECT_TRUE(pit.contains(Name::parse("/n"), ms(50)));
-  EXPECT_FALSE(pit.contains(Name::parse("/n"), ms(150)));
+  pit.insert(Name::parse("/live"), 1, 1, 0);
+  pit.insert(Name::parse("/n"), 1, 2, 0);
+  // Before its expiry an entry returns its faces to the Data.
+  EXPECT_EQ(pit.consume(Name::parse("/live"), ms(50)), (std::vector<NodeId>{1}));
+  // After it, the entry returns nothing and is removed all the same.
   EXPECT_TRUE(pit.consume(Name::parse("/n"), ms(150)).empty());
-  // A fresh Interest after expiry forwards again.
-  EXPECT_EQ(pit.insert(Name::parse("/m"), 1, 2, 0), Pit::InsertResult::Forward);
-  EXPECT_EQ(pit.insert(Name::parse("/m"), 2, 3, ms(200)), Pit::InsertResult::Forward);
+  EXPECT_EQ(pit.size(), 0u);
+  // A fresh Interest after expiry forwards again instead of aggregating.
+  EXPECT_EQ(pit.insert(Name::parse("/m"), 1, 3, 0), Pit::InsertResult::Forward);
+  EXPECT_EQ(pit.insert(Name::parse("/m"), 2, 4, ms(200)), Pit::InsertResult::Forward);
 }
 
 // ---------------- Content Store ----------------

@@ -24,9 +24,6 @@ TEST(SampleSet, PercentilesInterpolate) {
   EXPECT_DOUBLE_EQ(s.max(), 100.0);
   EXPECT_NEAR(s.percentile(0.5), 50.5, 0.01);
   EXPECT_NEAR(s.percentile(0.95), 95.05, 0.1);
-  EXPECT_NEAR(s.cdfAt(50.0), 0.5, 0.01);
-  EXPECT_DOUBLE_EQ(s.cdfAt(1000.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.cdfAt(0.0), 0.0);
 }
 
 TEST(SampleSet, CdfPointsAreMonotone) {

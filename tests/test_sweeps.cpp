@@ -1,13 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "game/map.hpp"
 #include "game/objects.hpp"
 #include "gcopss/experiment.hpp"
-#include "metrics/sweep.hpp"
 #include "world_fixture.hpp"
 
 namespace gcopss::test {
@@ -133,98 +128,6 @@ TEST(HybridGroups, MoreGroupsMeansLessAliasingWaste) {
   EXPECT_GT(r1.unwantedAtEdges + r1.filteredAtHosts,
             r8.unwantedAtEdges + r8.filteredAtHosts);
   EXPECT_GE(r1.networkGB, r8.networkGB);
-}
-
-// ---------------------------------------------------------------------------
-// Audited sweeps: every row of a parameter sweep carries an invariant-checker
-// verdict; a configuration that splits RP ownership or loses packets fails
-// the sweep instead of contributing a plausible-looking CSV line.
-// ---------------------------------------------------------------------------
-
-TEST(AuditedSweep, EveryRowIsInvariantCheckedAndExported) {
-  game::GameMap map({2, 2});
-  game::ObjectDatabase db(map, {6, 12, 24});
-  trace::CsTraceConfig tcfg;
-  tcfg.players = 14;
-  tcfg.totalUpdates = 300;
-  tcfg.meanInterArrival = ms(5);
-  tcfg.playersPerAreaMin = 2;
-  tcfg.playersPerAreaMax = 2;
-  tcfg.seed = 99;
-  const auto trace = trace::generateCsTrace(map, db, tcfg);
-
-  std::vector<metrics::SweepCase> cases(2);
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    cases[i].label = i == 0 ? "rps=1" : "rps=2";
-    cases[i].config.topo = gc::TopoKind::Bench6;
-    cases[i].config.params = SimParams::microbench();
-    cases[i].config.numRps = i + 1;
-  }
-  metrics::SweepOptions opts;
-  opts.auditInterval = ms(50);
-  opts.auditUntil = seconds(2);
-  const auto report = metrics::runAuditedSweep(map, trace, cases, opts);
-
-  ASSERT_EQ(report.rows.size(), 2u);
-  EXPECT_TRUE(report.allOk()) << report.failureText();
-  for (const auto& row : report.rows) {
-    EXPECT_TRUE(row.invariantsOk) << row.auditReport;
-    EXPECT_EQ(row.violationCount, 0u);
-    EXPECT_GT(row.audit.audits, 1u) << "periodic audits must have fired";
-    EXPECT_GT(row.summary.deliveries, 0u);
-  }
-  EXPECT_EQ(report.rows[0].label, "rps=1");
-  EXPECT_EQ(report.summaries().size(), 2u);
-
-  const std::string path = ::testing::TempDir() + "gcopss_sweep_test.csv";
-  ASSERT_TRUE(metrics::writeSweepCsv(path, report));
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string csv = ss.str();
-  std::remove(path.c_str());
-  EXPECT_NE(csv.find("invariants_ok"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("rps=2"), std::string::npos) << csv;
-}
-
-// The sweep verdict is trustworthy in both directions: a run that provably
-// loses publications (an RP crash with nobody assuming the role, and delivery
-// auditing on) must produce a failing row, not a quiet average.
-TEST(AuditedSweep, BrokenConfigurationFailsItsRow) {
-  game::GameMap map({2, 2});
-  game::ObjectDatabase db(map, {6, 12, 24});
-  trace::CsTraceConfig tcfg;
-  tcfg.players = 14;
-  tcfg.totalUpdates = 200;
-  tcfg.meanInterArrival = ms(5);
-  tcfg.playersPerAreaMin = 2;
-  tcfg.playersPerAreaMax = 2;
-  tcfg.seed = 7;
-  const auto trace = trace::generateCsTrace(map, db, tcfg);
-
-  metrics::SweepCase bad;
-  bad.label = "rp-blackhole";
-  bad.config.topo = gc::TopoKind::Bench6;
-  bad.config.params = SimParams::microbench();
-  bad.config.numRps = 1;
-  // Kill the lone RP a tenth of the way in; with no standby the remaining
-  // publications blackhole and the delivery audit must notice.
-  bad.config.onWorldReady = [](const gc::GCopssRunConfig::WorldView& w) {
-    Network* net = &w.net;
-    const NodeId rp = w.routers.front()->id();
-    net->sim().scheduleAt(ms(100), [net, rp]() { net->setNodeFailed(rp, true); });
-  };
-  metrics::SweepOptions opts;
-  opts.checker.checkDelivery = true;
-  const auto report = metrics::runAuditedSweep(map, trace, {bad}, opts);
-
-  ASSERT_EQ(report.rows.size(), 1u);
-  EXPECT_FALSE(report.allOk());
-  EXPECT_FALSE(report.rows[0].invariantsOk);
-  EXPECT_GT(report.rows[0].violationCount, 0u);
-  EXPECT_FALSE(report.failureText().empty());
-  EXPECT_NE(report.rows[0].auditReport.find("delivery"), std::string::npos)
-      << report.rows[0].auditReport;
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ TEST(Topology, ShortestPathPicksLowerDelay) {
   // a->c via b (20ms) beats the direct 50ms link.
   EXPECT_EQ(t.nextHop(a, c), b);
   EXPECT_EQ(t.pathDelay(a, c), ms(20));
-  EXPECT_EQ(t.hopCount(a, c), 2u);
 }
 
 TEST(Topology, PathEndpoints) {
@@ -26,10 +25,9 @@ TEST(Topology, PathEndpoints) {
   const NodeId a = t.addNode(), b = t.addNode(), c = t.addNode();
   t.addLink(a, b, ms(1));
   t.addLink(b, c, ms(1));
-  const auto p = t.path(a, c);
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_EQ(p.front(), a);
-  EXPECT_EQ(p.back(), c);
+  // Walking next hops from a reaches c; a node is its own next hop.
+  EXPECT_EQ(t.nextHop(a, c), b);
+  EXPECT_EQ(t.nextHop(b, c), c);
   EXPECT_EQ(t.nextHop(a, a), a);
 }
 
@@ -38,7 +36,6 @@ TEST(Topology, UnreachableReported) {
   const NodeId a = t.addNode(), b = t.addNode();
   (void)b;
   EXPECT_EQ(t.nextHop(a, b), kInvalidNode);
-  EXPECT_TRUE(t.path(a, b).empty());
   EXPECT_THROW(t.pathDelay(a, b), std::out_of_range);
 }
 

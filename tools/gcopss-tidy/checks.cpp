@@ -514,6 +514,13 @@ void extractFunctions(const SourceFile& f, std::vector<FnDef>& defs) {
         d.allocs.emplace_back(t[k].line, y);
         continue;
       }
+      // Container growth: a `.resize(` or `.reserve(` member call may
+      // reallocate, whatever the container is.
+      if ((y == "resize" || y == "reserve") && k + 1 < bodyEnd &&
+          t[k + 1].text == "(" && (t[k - 1].text == "." || t[k - 1].text == "->")) {
+        d.allocs.emplace_back(t[k].line, y + "()");
+        continue;
+      }
       if (k + 1 < bodyEnd && !controlKeywords().count(y)) {
         // `f(...)` and `f<T>(...)` both enter the call graph.
         if (t[k + 1].text == "(") {
