@@ -52,13 +52,14 @@ void BM_StMatchHashed(benchmark::State& state) {
 BENCHMARK(BM_StMatchHashed)->Arg(4)->Arg(16);
 
 void BM_FibLpm(benchmark::State& state) {
-  ndn::Fib fib;
+  NameTable names;
+  ndn::Fib fib(names);
   const auto cds = gameLeafCds();
   for (std::size_t i = 0; i < cds.size(); ++i) {
     fib.insert(cds[i], static_cast<NodeId>(i % 8));
   }
   // The per-Interest call: an interned CD, as every router resolves it.
-  const NameId probe = NameTable::instance().intern(Name::parse("/3/4"));
+  const NameId probe = names.intern(Name::parse("/3/4"));
   for (auto _ : state) benchmark::DoNotOptimize(fib.lpmFaces(probe));
 }
 BENCHMARK(BM_FibLpm);

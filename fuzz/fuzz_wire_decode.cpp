@@ -25,30 +25,22 @@ namespace {
   std::abort();
 }
 
-// Decoding interns hostile Names into the process-global NameTable. Input
-// length bounds each decode's interning, but a long campaign accretes; reset
-// between iterations once the table grows past a threshold (safe here:
-// nothing outlives one iteration).
-void maybeResetInterner() {
-  if (NameTable::instance().size() > (std::size_t{1} << 16)) {
-    NameTable::instance().resetForTesting();
-  }
-}
+// The receiving world's table. Decode only looks names up, so every input
+// meets the same table however long the campaign runs.
+const NameTable kNames;
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  maybeResetInterner();
-
   PacketPtr packet;
   try {
-    packet = wire::decode(data, size);
+    packet = wire::decode(data, size, kNames);
   } catch (const wire::WireError&) {
-    if (wire::tryDecode(data, size).packet) fail("tryDecode accepted, decode threw");
+    if (wire::tryDecode(data, size, kNames).packet) fail("tryDecode accepted, decode threw");
     return 0;
   }
 
-  const wire::DecodeResult softly = wire::tryDecode(data, size);
+  const wire::DecodeResult softly = wire::tryDecode(data, size, kNames);
   if (!softly.packet) fail("decode accepted, tryDecode rejected");
 
   const std::vector<std::uint8_t> once = wire::encode(*packet);
@@ -56,7 +48,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
   PacketPtr again;
   try {
-    again = wire::decode(once);
+    again = wire::decode(once, kNames);
   } catch (const wire::WireError&) {
     fail("re-encoding of accepted packet does not decode");
   }

@@ -37,6 +37,9 @@ void writeFile(const fs::path& dir, const std::string& name,
             static_cast<std::streamsize>(bytes.size()));
 }
 
+// Seed packets belong to no world: only their Names are encoded.
+const NameTable kNoNames;
+
 // Frame header for hand-crafted malformed bodies.
 wire::WireWriter frame(wire::WireTag tag) {
   wire::WireWriter w;
@@ -53,7 +56,7 @@ PacketPtr representative(wire::WireTag tag) {
   switch (tag) {
     case wire::WireTag::Interest:
       return makePacket<ndn::InterestPacket>(
-          cd, 42, 40,
+          kNoNames, cd, 42, 40,
           makePacket<copss::MulticastPacket>(cds, 100, 5, 9, 2));
     case wire::WireTag::Data:
       return makePacket<ndn::DataPacket>(cd, 512, 7, 3);
@@ -69,8 +72,6 @@ PacketPtr representative(wire::WireTag tag) {
       return makePacket<gc::SnapshotObjectPacket>(cd, 128, 17, 8, 3, 78, 5);
     case wire::WireTag::FibAdd:
       return makePacket<copss::FibAddPacket>(cds, epochs, 4, 100);
-    case wire::WireTag::FibRemove:
-      return makePacket<copss::FibRemovePacket>(cds, 4, 101);
     case wire::WireTag::RpHandoff:
       return makePacket<copss::RpHandoffPacket>(cds, epochs, 4, 5, 102);
     case wire::WireTag::StJoin:
@@ -112,7 +113,6 @@ std::string tagName(wire::WireTag tag) {
     case wire::WireTag::GameUpdate: return "game-update";
     case wire::WireTag::SnapshotObject: return "snapshot-object";
     case wire::WireTag::FibAdd: return "fib-add";
-    case wire::WireTag::FibRemove: return "fib-remove";
     case wire::WireTag::RpHandoff: return "rp-handoff";
     case wire::WireTag::StJoin: return "st-join";
     case wire::WireTag::StConfirm: return "st-confirm";
@@ -178,7 +178,7 @@ void decodeSeeds(const fs::path& dir) {
   {  // kMaxDecodeDepth: Interests nested 5 deep (depth budget is 4).
     PacketPtr p = makePacket<ndn::DataPacket>(Name::parse("/d"), 1, 0, 0);
     for (std::size_t i = 0; i < wire::kMaxDecodeDepth; ++i) {
-      p = makePacket<ndn::InterestPacket>(Name::parse("/i"), i, 40, std::move(p));
+      p = makePacket<ndn::InterestPacket>(kNoNames, Name::parse("/i"), i, 40, std::move(p));
     }
     writeFile(dir, "bound-encap-depth.bin", wire::encode(*p));
   }
@@ -254,7 +254,8 @@ void decodeSeeds(const fs::path& dir) {
 void roundtripSeeds(const fs::path& dir) {
   for (std::size_t i = 0; i < wire::kAllWireTags.size(); ++i) {
     std::vector<std::uint8_t> bytes;
-    // ByteSource.below(18) consumes a u32 (little-endian); i % 18 == i.
+    // ByteSource.below(kAllWireTags.size()) consumes a u32 (little-endian),
+    // and i % kAllWireTags.size() == i.
     bytes.push_back(static_cast<std::uint8_t>(i));
     bytes.push_back(0);
     bytes.push_back(0);

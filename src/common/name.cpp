@@ -7,7 +7,6 @@ namespace gcopss {
 
 Name Name::parse(std::string_view text) {
   std::vector<std::string> comps;
-  // gcopss-tidy: allow(hot-alloc) parsing is the text boundary; the call graph is by name, so the forwarding path's NameTable::intern(const Name&) is mistaken for the intern(std::string_view) overload that parses
   comps.reserve(static_cast<std::size_t>(
                     std::count(text.begin(), text.end(), '/')) +
                 1);

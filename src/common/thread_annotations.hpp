@@ -5,25 +5,25 @@
 // Two families live here (see docs/STATIC_ANALYSIS.md):
 //
 //   * Clang thread-safety capabilities (GCOPSS_GUARDED_BY / GCOPSS_REQUIRES
-//     and the annotated Mutex/SharedMutex wrappers below). Under Clang the
-//     build promotes -Wthread-safety to an error, so "touched children_
-//     without mu_" is a compile failure; under GCC every attribute expands
-//     to nothing and the wrappers are zero-cost forwarding shims.
+//     and the annotated Mutex wrapper below). Under Clang the build promotes
+//     -Wthread-safety to an error, so "touched guarded state without its
+//     mutex" is a compile failure; under GCC every attribute expands to
+//     nothing and the wrappers are zero-cost forwarding shims.
 //
 //   * Hot-path / ownership markers (GCOPSS_HOT, GCOPSS_COLD,
 //     GCOPSS_SHARD_CONFINED) consumed by tools/gcopss-tidy. A function
 //     marked GCOPSS_HOT must not transitively reach `new` / make_shared /
 //     malloc in project code (rule hot-alloc); GCOPSS_COLD marks a
-//     deliberate growth path (pool refill, table append) that the traversal
+//     deliberate growth path (pool refill, route insert) that the traversal
 //     treats as a barrier — each use carries its justification in a comment.
 //
 // All simulation-facing state is either confined to one shard (routers, ST,
 // FIB, fault RNG lanes, the SPSC merge buffers — barriers/ownership order
-// those, not locks) or guarded by one of the two real mutexes in the tree:
-// NameTable::mu_ and the ParallelSimulator round/error mutexes.
+// those, not locks), grown only from sequential context (a Network's
+// NameTable), or guarded by the one set of real mutexes in the tree: the
+// ParallelSimulator round/error mutexes.
 
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__)
 #define GCOPSS_THREAD_ANNOTATION(x) __attribute__((x))
@@ -37,16 +37,10 @@
 #define GCOPSS_PT_GUARDED_BY(x) GCOPSS_THREAD_ANNOTATION(pt_guarded_by(x))
 #define GCOPSS_REQUIRES(...) \
   GCOPSS_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define GCOPSS_REQUIRES_SHARED(...) \
-  GCOPSS_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define GCOPSS_ACQUIRE(...) \
   GCOPSS_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define GCOPSS_ACQUIRE_SHARED(...) \
-  GCOPSS_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define GCOPSS_RELEASE(...) \
   GCOPSS_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define GCOPSS_RELEASE_SHARED(...) \
-  GCOPSS_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define GCOPSS_EXCLUDES(...) \
   GCOPSS_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define GCOPSS_NO_THREAD_SAFETY_ANALYSIS \
@@ -86,23 +80,6 @@ class GCOPSS_CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-// std::shared_mutex, annotated (NameTable interning: shared probes,
-// exclusive appends).
-class GCOPSS_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() GCOPSS_ACQUIRE() { m_.lock(); }
-  void unlock() GCOPSS_RELEASE() { m_.unlock(); }
-  void lock_shared() GCOPSS_ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() GCOPSS_RELEASE_SHARED() { m_.unlock_shared(); }
-
- private:
-  std::shared_mutex m_;
-};
-
 // Scoped exclusive lock over Mutex (lock_guard shape).
 class GCOPSS_SCOPED_CAPABILITY MutexLock {
  public:
@@ -131,32 +108,6 @@ class GCOPSS_SCOPED_CAPABILITY CvLock : public std::unique_lock<std::mutex> {
   CvLock& operator=(const CvLock&) = delete;
 };
 
-// Scoped exclusive lock over SharedMutex.
-class GCOPSS_SCOPED_CAPABILITY ExclusiveLock {
- public:
-  explicit ExclusiveLock(SharedMutex& m) GCOPSS_ACQUIRE(m) : m_(m) {
-    m_.lock();
-  }
-  ~ExclusiveLock() GCOPSS_RELEASE() { m_.unlock(); }
-  ExclusiveLock(const ExclusiveLock&) = delete;
-  ExclusiveLock& operator=(const ExclusiveLock&) = delete;
 
- private:
-  SharedMutex& m_;
-};
-
-// Scoped shared (reader) lock over SharedMutex.
-class GCOPSS_SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(SharedMutex& m) GCOPSS_ACQUIRE_SHARED(m) : m_(m) {
-    m_.lock_shared();
-  }
-  ~SharedLock() GCOPSS_RELEASE_SHARED() { m_.unlock_shared(); }
-  SharedLock(const SharedLock&) = delete;
-  SharedLock& operator=(const SharedLock&) = delete;
-
- private:
-  SharedMutex& m_;
-};
 
 }  // namespace gcopss

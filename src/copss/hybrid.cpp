@@ -69,9 +69,9 @@ void HybridEdgeRouter::handle(NodeId fromFace, const PacketPtr& pkt) {
         CopssRouter::handle(fromFace, wrapped);
         return;
       }
-      // From the core: deliver to interested hosts; count pure aliasing waste.
-      if (st().matchFaces(mcast.cds, fromFace).empty()) ++unwanted_;
-      CopssRouter::handle(fromFace, pkt);
+      // From the core: deliver to interested hosts (the ST forward
+      // CopssRouter::handle would run); count pure aliasing waste.
+      if (stForward(fromFace, pkt) == 0) ++unwanted_;
       return;
     }
     case Packet::Kind::Subscribe: {

@@ -5,7 +5,6 @@
 
 #include "common/hash.hpp"
 #include "common/name.hpp"
-#include "common/name_table.hpp"
 #include "net/packet.hpp"
 
 namespace gcopss::copss {
@@ -53,17 +52,18 @@ struct UnsubscribePacket : Packet {
 // "Hash at the first hop": appends the hash of every prefix level of `cd`,
 // root first — a run of cd.size() + 1 hashes ending in cd's own hash.
 // Transit routers match the ST Bloom filters on these and never touch the
-// textual name again. The hashes come from the interner's parent chain
-// (NameTable hashes are bit-identical to Name::hash()), so no intermediate
-// prefix Names are materialised.
+// textual name again. One FNV-1a fold over the components yields every
+// level's Name::hash() in turn, so no intermediate prefix Names are
+// materialised.
 inline void appendPrefixHashes(const Name& cd, std::vector<std::uint64_t>& out) {
-  auto& names = NameTable::instance();
-  const std::size_t base = out.size();
+  std::size_t at = out.size();
   // gcopss-tidy: allow(hot-alloc) hashing at the first hop: one growth per MulticastPacket built or per allocating matchFaces() lookup; transit forwarding reuses the packet's hashes
-  out.resize(base + cd.size() + 1);
-  NameId cur = names.intern(cd);
-  for (std::size_t len = cd.size() + 1; len-- > 0; cur = names.parent(cur)) {
-    out[base + len] = names.hash(cur);
+  out.resize(at + cd.size() + 1);
+  std::uint64_t h = fnv1a64("");  // the FNV basis: the root's hash
+  out[at] = h;
+  for (const std::string& c : cd.components()) {
+    h = fnv1a64("/", fnv1a64(c, h));
+    out[++at] = h;
   }
 }
 
@@ -124,7 +124,7 @@ struct AnnouncePacket : MulticastPacket {
   Bytes fullSize;
 };
 
-// FIB add/remove: announces that `origin` (an RP) serves `prefixes`.
+// FIB add: announces that `origin` (an RP) serves `prefixes`.
 // Flooded with duplicate suppression; routers point their FIB entry at the
 // arrival face (reverse-path), forming a shortest-path tree toward the RP.
 struct FibAddPacket : Packet {
@@ -144,16 +144,6 @@ struct FibAddPacket : Packet {
   std::vector<std::uint64_t> epochs;
   NodeId origin;
   std::uint64_t txnId;  // also the flood-suppression key
-};
-
-struct FibRemovePacket : Packet {
-  static constexpr Kind kKind = Kind::FibRemove;
-  FibRemovePacket(std::vector<Name> p, NodeId originIn, std::uint64_t txn)
-      : Packet(kKind, kControlPacketBytes), prefixes(std::move(p)), origin(originIn),
-        txnId(txn) {}
-  std::vector<Name> prefixes;
-  NodeId origin;
-  std::uint64_t txnId;
 };
 
 // --- RP migration control (Section IV-B) ---

@@ -12,8 +12,8 @@ CopssRouter::CopssRouter(NodeId id, Network& net, Options opts)
       fwd_(ndn::Forwarder::Hooks{
                [this](NodeId face, PacketPtr pkt) { send(face, std::move(pkt)); },
                nullptr, nullptr},
-           opts.ndn, [this]() { return sim().now(); }),
-      st_(opts.st), balancer_(opts.balance) {}
+           opts.ndn, [this]() { return sim().now(); }, net.names()),
+      cdFib_(net.names()), st_(opts.st), balancer_(opts.balance) {}
 
 void CopssRouter::addCdRoute(const Name& prefix, NodeId nextHopFace) {
   cdFib_.insert(prefix, nextHopFace);
@@ -161,7 +161,8 @@ void CopssRouter::onMulticast(NodeId fromFace, const PacketPtr& pkt) {
     // toward the (unique, prefix-free) RP. CD hashes are already computed.
     assert(!mcast.cds.empty());
     auto interest = makePacket<ndn::InterestPacket>(
-        mcast.cds.front(), nextNonce_++, ndn::kInterestHeaderBytes + pkt->size, pkt);
+        network().names(), mcast.cds.front(), nextNonce_++,
+        ndn::kInterestHeaderBytes + pkt->size, pkt);
     onEncapInterest(kInvalidNode, packet_pointer_cast<ndn::InterestPacket>(interest));
     return;
   }
@@ -202,7 +203,8 @@ void CopssRouter::rpDeliver(NodeId arrivalFace, const PacketPtr& multicast) {
   if (opts_.autoBalance) maybeSplit();
 }
 
-GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& multicast) {
+GCOPSS_HOT std::size_t CopssRouter::stForward(NodeId excludeFace,
+                                               const PacketPtr& multicast) {
   const auto& mcast = packet_cast<MulticastPacket>(multicast);
   std::vector<NodeId> faces = std::move(matchScratch_);
   // Batch point of the publish fan-out (DESIGN.md §4e): the packet carries
@@ -237,7 +239,9 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
     send(face, multicast);
     ++multicastsForwarded_;
   }
+  const std::size_t matched = faces.size();
   matchScratch_ = std::move(faces);
+  return matched;
 }
 
 void CopssRouter::subscribeLocal(const Name& cd) {

@@ -171,6 +171,13 @@ class CopssRouter : public Node {
   // A restart asks every neighbour to re-announce (ST resync).
   void onRestart() override;
 
+ protected:
+  // Forward a Multicast along the ST tree, to faces not yet served with its
+  // (publisher, seq) (per-face suppression: duplicates are dropped per face,
+  // never in a way that starves a subtree). Returns how many faces the ST
+  // matched, served before or not.
+  std::size_t stForward(NodeId excludeFace, const PacketPtr& multicast);
+
  private:
   // -- packet handlers --
   void onSubscribe(NodeId fromFace, const SubscribePacket& pkt);
@@ -198,11 +205,6 @@ class CopssRouter : public Node {
 
   // Deliver a decapsulated publication as the RP: ST multicast + balancing.
   void rpDeliver(NodeId arrivalFace, const PacketPtr& multicast);
-  // Forward a Multicast along the ST tree, to faces not yet served with its
-  // (publisher, seq) (per-face suppression: duplicates are dropped per face,
-  // never in a way that starves a subtree).
-  void stForward(NodeId excludeFace, const PacketPtr& multicast);
-
   // Expand an unscoped host (un)subscription over the intersecting assigned
   // prefixes and forward one scoped copy toward each RP.
   void propagateControl(const Name& cd, bool subscribe, bool resync = false);

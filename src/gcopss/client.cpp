@@ -73,7 +73,7 @@ void GCopssClient::publishTwoStep(const Name& cd, Bytes payload, std::uint64_t s
 }
 
 void GCopssClient::expressInterest(const Name& name) {
-  send(edgeFace_, makePacket<ndn::InterestPacket>(name, nextNonce_++));
+  send(edgeFace_, makePacket<ndn::InterestPacket>(network().names(), name, nextNonce_++));
 }
 
 bool GCopssClient::matchesSubscription(const copss::MulticastPacket& mcast) const {

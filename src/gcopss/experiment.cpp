@@ -198,6 +198,10 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
   Topology topo;
   const BuiltTopo built = buildTopo(topo, cfg.topo, rng);
   Network net(sim, topo, cfg.params);
+  // Every CD a publication may carry, before the first event: an RP split
+  // routes CDs mid-run, and on the parallel engine the FIB may only look
+  // them up there (ndn::Fib::insert).
+  for (const Name& cd : map.leafCds()) net.names().intern(cd);
 
   // --- routers ---
   copss::CopssRouter::Options ropts;

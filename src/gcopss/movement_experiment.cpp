@@ -65,6 +65,9 @@ MovementSummary runMovementExperiment(const game::GameMap& map,
   const auto hosts = attachHosts(topo, rf.edge, bgTrace.playerPositions.size(), rng);
 
   Network net(sim, topo, cfg.params);
+  // Every CD a publication may carry, before the first event (as in
+  // runGCopssTrace).
+  for (const Name& cd : map.leafCds()) net.names().intern(cd);
 
   copss::CopssRouter::Options ropts;
   ropts.ndn.csFreshness = cfg.csFreshness;

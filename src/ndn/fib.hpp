@@ -12,9 +12,15 @@ namespace gcopss::ndn {
 
 // Forwarding Information Base: one route table keyed by interned prefix,
 // holding exactly the prefixes with at least one outgoing face, with
-// longest-prefix-match lookup over the NameTable's parent chain.
+// longest-prefix-match lookup over the world's NameTable parent chain.
 class Fib {
  public:
+  explicit Fib(NameTable& names) : names_(names) {}
+
+  // Interns `prefix` if the world lacks it: the one place a run grows its
+  // NameTable. Inside a parallel round that would race the other shards'
+  // reads, so there an uninterned prefix throws std::logic_error; worlds
+  // intern every CD they may route at setup.
   void insert(const Name& prefix, NodeId face);
   // Remove every face registered for exactly this prefix.
   void removePrefix(const Name& prefix);
@@ -43,6 +49,7 @@ class Fib {
   std::size_t entryCount() const;
 
  private:
+  NameTable& names_;
   std::map<NameId, std::set<NodeId>> routes_;
 };
 

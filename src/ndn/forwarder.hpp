@@ -34,8 +34,10 @@ class Forwarder {
     SimTime pitLifetime = seconds(4);
   };
 
-  Forwarder(Hooks hooks, Options opts, const std::function<SimTime()>& now)
-      : hooks_(std::move(hooks)), cs_(opts.csCapacity, opts.csFreshness),
+  // `names` is the world's NameTable, which the FIB keys its routes by.
+  Forwarder(Hooks hooks, Options opts, const std::function<SimTime()>& now,
+            NameTable& names)
+      : hooks_(std::move(hooks)), fib_(names), cs_(opts.csCapacity, opts.csFreshness),
         pit_(opts.pitLifetime), now_(now) {}
 
   void onInterest(NodeId fromFace, const InterestPacketPtr& interest);

@@ -18,15 +18,16 @@ constexpr Bytes kDataHeaderBytes = 40;
 struct InterestPacket : Packet {
   static constexpr Kind kKind = Kind::Interest;
 
-  InterestPacket(Name n, std::uint64_t nonceIn, Bytes sz = kInterestHeaderBytes,
-                 PacketPtr encap = nullptr)
-      : Packet(kKind, sz), name(std::move(n)),
-        nameId(NameTable::instance().intern(name)), nonce(nonceIn),
-        encapsulated(std::move(encap)) {}
+  // `names` is the world the Interest travels in; it is only looked up.
+  InterestPacket(const NameTable& names, Name n, std::uint64_t nonceIn,
+                 Bytes sz = kInterestHeaderBytes, PacketPtr encap = nullptr)
+      : Packet(kKind, sz), name(std::move(n)), nameId(names.deepest(name)),
+        nonce(nonceIn), encapsulated(std::move(encap)) {}
 
   Name name;
-  // Interned at construction: FIB longest-prefix match on the forwarding
-  // path walks ids, never component strings.
+  // The deepest prefix of `name` the world has interned. Every routed prefix
+  // is interned when it is routed, so FIB longest-prefix match on the
+  // forwarding path walks ids from here, never component strings.
   NameId nameId;
   std::uint64_t nonce;
   // COPSS rides on NDN by encapsulating a Multicast packet inside an

@@ -9,7 +9,7 @@ NdnRouterNode::NdnRouterNode(NodeId id, Network& net, ndn::Forwarder::Options op
       fwd_(ndn::Forwarder::Hooks{
                [this](NodeId face, PacketPtr pkt) { send(face, std::move(pkt)); },
                nullptr, nullptr},
-           opts, [this]() { return sim().now(); }) {}
+           opts, [this]() { return sim().now(); }, net.names()) {}
 
 void NdnRouterNode::handle(NodeId fromFace, const PacketPtr& pkt) {
   switch (pkt->kind) {
@@ -82,7 +82,7 @@ void NdnGamePlayer::expressInterest(std::uint32_t peer, std::uint64_t segSeq,
   if (st.received.count(segSeq)) return;
   st.outstanding.insert(segSeq);
   const Name name = prefixFor(peer).append("u").append(std::to_string(segSeq));
-  send(edgeFace_, makePacket<ndn::InterestPacket>(name, nextNonce_++));
+  send(edgeFace_, makePacket<ndn::InterestPacket>(network().names(), name, nextNonce_++));
   // Timeout: if still outstanding after `rto`, re-express with backoff.
   sim().schedule(rto, [this, peer, segSeq, rto]() {
     const auto it = peerState_.find(peer);

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/name_table.hpp"
 #include "des/parallel.hpp"
 #include "des/simulator.hpp"
 #include "net/fault.hpp"
@@ -109,6 +110,11 @@ class Network {
 
   Simulator& sim() { return sim_; }
   Topology& topology() { return topo_; }
+  // This world's name interner: routers key their FIBs by it, and Interests
+  // and decoded packets look names up in it. Grow it only from sequential
+  // context; a world that routes CDs during a parallel run interns them at
+  // setup (ndn::Fib::insert refuses to grow it inside a round).
+  NameTable& names() { return names_; }
   const SimParams& params() const { return params_; }
   SimParams& mutableParams() { return params_; }
 
@@ -237,6 +243,7 @@ class Network {
   Simulator& sim_;
   Topology& topo_;
   SimParams params_;
+  NameTable names_;
   std::vector<std::unique_ptr<Node>> nodes_;  // indexed by NodeId
   std::set<NodeId> failed_;
   std::unique_ptr<FaultInjector> fault_;

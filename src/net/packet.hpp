@@ -36,7 +36,6 @@ struct Packet {
     Unsubscribe,
     Multicast,
     FibAdd,
-    FibRemove,
     // COPSS RP-migration control (Section IV-B)
     RpHandoff,
     StJoin,

@@ -151,14 +151,12 @@ void encodeBody(WireWriter& w, const Packet& packet) {
       }
       return;
     }
-    case Packet::Kind::FibAdd:
-    case Packet::Kind::FibRemove: {
-      const auto* add = dynamic_cast<const copss::FibAddPacket*>(&packet);
-      const auto* rem = dynamic_cast<const copss::FibRemovePacket*>(&packet);
-      putNames(w, add ? add->prefixes : rem->prefixes);
-      putNode(w, add ? add->origin : rem->origin);
-      w.u64(add ? add->txnId : rem->txnId);
-      if (add) putEpochs(w, add->epochs);
+    case Packet::Kind::FibAdd: {
+      const auto& p = static_cast<const copss::FibAddPacket&>(packet);
+      putNames(w, p.prefixes);
+      putNode(w, p.origin);
+      w.u64(p.txnId);
+      putEpochs(w, p.epochs);
       return;
     }
     case Packet::Kind::RpHandoff: {
@@ -226,9 +224,9 @@ void encodeInto(WireWriter& w, const Packet& packet) {
   encodeBody(w, packet);
 }
 
-PacketPtr decodeFrame(WireReader& r, std::size_t depth);  // fwd
+PacketPtr decodeFrame(WireReader& r, std::size_t depth, const NameTable& names);  // fwd
 
-PacketPtr decodeBody(Tag tag, WireReader& r, std::size_t depth) {
+PacketPtr decodeBody(Tag tag, WireReader& r, std::size_t depth, const NameTable& names) {
   switch (tag) {
     case Tag::Interest: {
       Name name = getName(r);
@@ -238,10 +236,10 @@ PacketPtr decodeBody(Tag tag, WireReader& r, std::size_t depth) {
       if (r.u8()) {
         const std::uint64_t innerLen = r.varint();
         WireReader inner = r.subReader(innerLen);
-        encap = decodeFrame(inner, depth + 1);
+        encap = decodeFrame(inner, depth + 1, names);
         if (!inner.atEnd()) throw WireError("trailing bytes in encapsulated packet");
       }
-      return makePacket<ndn::InterestPacket>(std::move(name), nonce, size,
+      return makePacket<ndn::InterestPacket>(names, std::move(name), nonce, size,
                                              std::move(encap));
     }
     case Tag::Data: {
@@ -323,12 +321,6 @@ PacketPtr decodeBody(Tag tag, WireReader& r, std::size_t depth) {
       return makePacket<copss::FibAddPacket>(std::move(prefixes), std::move(epochs),
                                              origin, txn);
     }
-    case Tag::FibRemove: {
-      auto prefixes = getNames(r);
-      const NodeId origin = getNode(r);
-      const std::uint64_t txn = r.u64();
-      return makePacket<copss::FibRemovePacket>(std::move(prefixes), origin, txn);
-    }
     case Tag::RpHandoff: {
       auto cds = getNames(r);
       const NodeId oldRp = getNode(r);
@@ -399,12 +391,12 @@ PacketPtr decodeBody(Tag tag, WireReader& r, std::size_t depth) {
   throw WireError("unknown packet tag");
 }
 
-PacketPtr decodeFrame(WireReader& r, std::size_t depth) {
+PacketPtr decodeFrame(WireReader& r, std::size_t depth, const NameTable& names) {
   if (depth > kMaxDecodeDepth) throw WireError("encapsulation too deep");
   if (r.u16() != kMagic) throw WireError("bad magic");
   if (r.u8() != kVersion) throw WireError("unsupported version");
   const auto tag = static_cast<Tag>(r.u8());
-  return decodeBody(tag, r, depth);
+  return decodeBody(tag, r, depth, names);
 }
 
 }  // namespace
@@ -425,7 +417,6 @@ WireTag wireTag(const Packet& packet) {
       if (dynamic_cast<const copss::AnnouncePacket*>(&packet)) return WireTag::Announce;
       return WireTag::Multicast;
     case Packet::Kind::FibAdd: return WireTag::FibAdd;
-    case Packet::Kind::FibRemove: return WireTag::FibRemove;
     case Packet::Kind::RpHandoff: return WireTag::RpHandoff;
     case Packet::Kind::StJoin: return WireTag::StJoin;
     case Packet::Kind::StConfirm: return WireTag::StConfirm;
@@ -443,18 +434,19 @@ std::vector<std::uint8_t> encode(const Packet& packet) {
   return w.take();
 }
 
-PacketPtr decode(const std::uint8_t* data, std::size_t size) {
+PacketPtr decode(const std::uint8_t* data, std::size_t size, const NameTable& names) {
   if (size > kMaxFrameBytes) throw WireError("frame too large");
   WireReader r(data, size);
-  PacketPtr p = decodeFrame(r, 1);
+  PacketPtr p = decodeFrame(r, 1, names);
   if (!r.atEnd()) throw WireError("trailing bytes");
   return p;
 }
 
-DecodeResult tryDecode(const std::uint8_t* data, std::size_t size) {
+DecodeResult tryDecode(const std::uint8_t* data, std::size_t size,
+                       const NameTable& names) {
   DecodeResult result;
   try {
-    result.packet = decode(data, size);
+    result.packet = decode(data, size, names);
   } catch (const WireError& e) {
     result.error = e.what();
   }

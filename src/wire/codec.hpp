@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/name_table.hpp"
 #include "net/packet.hpp"
 #include "wire/buffer.hpp"
 
@@ -19,7 +20,8 @@ namespace gcopss::wire {
 // (COPSS Multicast encapsulated in an NDN Interest) recurse as a
 // length-delimited inner frame. Derived data — e.g. a Multicast's prefix
 // hashes — is recomputed on decode rather than shipped, exactly as the
-// paper's first-hop router would after deserializing.
+// paper's first-hop router would after deserializing. Decoding resolves an
+// Interest's name against the receiving world's NameTable and never grows it.
 //
 // encode() never fails; decode() throws WireError on any malformed input
 // (bad magic, unknown type, truncation, trailing bytes, or any of the
@@ -32,12 +34,13 @@ constexpr std::uint16_t kMagic = 0x47C0;  // "GC"
 // v3: an encapsulated frame is length-delimited (varint byte count before the
 // inner frame), so a truncated or over-long inner packet is rejected against
 // its own boundary instead of leaning on the outer frame's trailing-bytes
-// check.
+// check. Tag 9 (FibRemove) was retired later within v3: no simulator ever
+// sent one, and decode rejects it as an unknown tag.
 constexpr std::uint8_t kVersion = 3;
 
-// Wire type tags (stable across versions; append-only). Public so tests and
-// the structure-aware fuzzer can enumerate the full tag space; kWireTagEnd is
-// a sentinel, never encoded.
+// Wire type tags (stable across versions; append-only: a retired tag's value
+// is never reused). Public so tests and the structure-aware fuzzer can
+// enumerate the full tag space; kWireTagEnd is a sentinel, never encoded.
 enum class WireTag : std::uint8_t {
   Interest = 1,
   Data = 2,
@@ -47,7 +50,7 @@ enum class WireTag : std::uint8_t {
   GameUpdate = 6,
   SnapshotObject = 7,
   FibAdd = 8,
-  FibRemove = 9,
+  // 9 retired (FibRemove)
   RpHandoff = 10,
   StJoin = 11,
   StConfirm = 12,
@@ -60,20 +63,19 @@ enum class WireTag : std::uint8_t {
   kWireTagEnd,  // sentinel: one past the last real tag
 };
 
-constexpr std::size_t kWireTagCount = static_cast<std::size_t>(WireTag::kWireTagEnd) - 1;
-
-// Every encodable tag, in tag order. kWireTagCount pins the array to the
-// enum: adding a tag without extending this list (and, transitively, the
-// exhaustive round-trip table in test_wire.cpp and the fuzzer's packet
-// generator) fails to build.
-constexpr std::array<WireTag, kWireTagCount> kAllWireTags = {
+// Every encodable tag, in tag order: each value below kWireTagEnd except the
+// retired 9. The static_assert pins the list to the enum, so adding a tag
+// without extending this list (and, transitively, the exhaustive round-trip
+// table in test_wire.cpp and the fuzzer's packet generator) fails to build.
+constexpr std::array kAllWireTags = {
     WireTag::Interest,   WireTag::Data,       WireTag::Subscribe,
     WireTag::Unsubscribe, WireTag::Multicast, WireTag::GameUpdate,
-    WireTag::SnapshotObject, WireTag::FibAdd, WireTag::FibRemove,
-    WireTag::RpHandoff,  WireTag::StJoin,     WireTag::StConfirm,
-    WireTag::StLeave,    WireTag::IpUnicast,  WireTag::UpdateSegment,
-    WireTag::Announce,   WireTag::RpReclaim,  WireTag::RpDemote,
+    WireTag::SnapshotObject, WireTag::FibAdd, WireTag::RpHandoff,
+    WireTag::StJoin,     WireTag::StConfirm,  WireTag::StLeave,
+    WireTag::IpUnicast,  WireTag::UpdateSegment, WireTag::Announce,
+    WireTag::RpReclaim,  WireTag::RpDemote,
 };
+static_assert(kAllWireTags.size() == static_cast<std::size_t>(WireTag::kWireTagEnd) - 2);
 
 // The tag a packet encodes under. Throws WireError for kinds with no wire
 // representation (simulator-internal control like PubAck/RpHeartbeat).
@@ -81,9 +83,9 @@ WireTag wireTag(const Packet& packet);
 
 // ---- decode-hardening bounds ----
 // Every bound exists because hostile length prefixes otherwise turn a short
-// datagram into an unbounded allocation, an unbounded NameTable intern burst,
-// or unbounded recursion. Each has a throwing negative test in test_wire.cpp
-// and a committed corpus file under tests/corpus/ (see TESTING.md "Fuzzing").
+// datagram into an unbounded allocation or unbounded recursion. Each has a
+// throwing negative test in test_wire.cpp and a committed corpus file under
+// tests/corpus/ (see TESTING.md "Fuzzing").
 
 // Whole-frame ceiling. A gateway datagram is <= 64 KiB; 1 MiB leaves room for
 // batched future framing while bounding the per-decode work (every count
@@ -110,10 +112,11 @@ inline std::vector<std::uint8_t> encode(const PacketPtr& packet) {
   return encode(*packet);
 }
 
-PacketPtr decode(const std::uint8_t* data, std::size_t size);
+// `names` is the receiving world's table (only looked up, never grown).
+PacketPtr decode(const std::uint8_t* data, std::size_t size, const NameTable& names);
 
-inline PacketPtr decode(const std::vector<std::uint8_t>& buf) {
-  return decode(buf.data(), buf.size());
+inline PacketPtr decode(const std::vector<std::uint8_t>& buf, const NameTable& names) {
+  return decode(buf.data(), buf.size(), names);
 }
 
 // Non-throwing decode for the gateway ingest path: malformed input yields a
@@ -125,10 +128,10 @@ struct DecodeResult {
   explicit operator bool() const { return packet != nullptr; }
 };
 
-DecodeResult tryDecode(const std::uint8_t* data, std::size_t size);
+DecodeResult tryDecode(const std::uint8_t* data, std::size_t size, const NameTable& names);
 
-inline DecodeResult tryDecode(const std::vector<std::uint8_t>& buf) {
-  return tryDecode(buf.data(), buf.size());
+inline DecodeResult tryDecode(const std::vector<std::uint8_t>& buf, const NameTable& names) {
+  return tryDecode(buf.data(), buf.size(), names);
 }
 
 // Serialized size without materializing the buffer (for accounting).

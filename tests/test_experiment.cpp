@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "common/name_table.hpp"
 #include "game/movement.hpp"
 #include "gcopss/experiment.hpp"
 #include "gcopss/movement_experiment.hpp"
+#include "net/network.hpp"
 
 namespace gcopss::test {
 namespace {
@@ -156,13 +158,46 @@ TEST(ExperimentHarness, AutoBalanceSplitsUnderOverload) {
   cfg.autoBalance = true;
   cfg.balance.backlogThreshold = ms(50);
   cfg.balance.cooldown = seconds(1);
+  // The splits route CDs mid-run; the world interned them all at setup.
+  std::size_t namesAtReady = 0;
+  std::size_t namesAtDrained = 0;
+  cfg.onWorldReady = [&](const GCopssRunConfig::WorldView& v) {
+    namesAtReady = v.net.names().size();
+  };
+  cfg.onRunDrained = [&](const GCopssRunConfig::WorldView& v) {
+    namesAtDrained = v.net.names().size();
+  };
   const auto res = runGCopssTrace(w.map, trace, cfg);
   EXPECT_GE(res.rpSplits, 1u);
+  EXPECT_EQ(namesAtDrained, namesAtReady);
 
   GCopssRunConfig one;
   one.numRps = 1;
   const auto single = runGCopssTrace(w.map, trace, one);
   EXPECT_LT(res.meanMs, single.meanMs);  // balancing beat the congested RP
+}
+
+// NameIds are a pure function of the world: each world interns the map's
+// CDs first, into a table of its own, so a world built after another one
+// ran in this process numbers every CD as a fresh table does.
+TEST(ExperimentHarness, NameIdsDependOnlyOnTheWorld) {
+  SmallWorld w;
+  const auto trace = smallTrace(w, 200);
+  NameTable fresh;
+  std::vector<NameId> expected;
+  for (const Name& cd : w.map.leafCds()) expected.push_back(fresh.intern(cd));
+  for (int world = 0; world < 2; ++world) {
+    GCopssRunConfig cfg;
+    cfg.topo = TopoKind::Bench6;
+    cfg.params = SimParams::microbench();
+    cfg.twoStep = true;  // Interests for per-publication content names
+    std::vector<NameId> ids;
+    cfg.onRunDrained = [&](const GCopssRunConfig::WorldView& v) {
+      for (const Name& cd : w.map.leafCds()) ids.push_back(v.net.names().deepest(cd));
+    };
+    runGCopssTrace(w.map, trace, cfg);
+    EXPECT_EQ(ids, expected) << "world " << world;
+  }
 }
 
 TEST(ExperimentHarness, MovementExperimentConverges) {

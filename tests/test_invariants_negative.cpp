@@ -97,6 +97,7 @@ TEST(InvariantAuditNegative, DroppedMigrationPublicationIsWitnessed) {
   });
   const std::vector<Name> cds = {Name::parse("/1/1"), Name::parse("/1/2"),
                                  Name::parse("/2/1"), Name::parse("/2/2")};
+  w.internCds(cds);
   std::uint64_t seq = 0;
   for (int i = 0; i < 50; ++i) {
     for (const Name& cd : cds) {

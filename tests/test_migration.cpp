@@ -17,6 +17,7 @@ TEST(RpMigration, NoLossDuringForcedSplit) {
 
   const auto cds = {Name::parse("/1/1"), Name::parse("/1/2"), Name::parse("/2/1"),
                     Name::parse("/2/2")};
+  w.internCds(cds);
 
   w.sim->scheduleAt(0, [&]() {
     w.clients[2]->subscribe(Name());            // sees everything
@@ -71,6 +72,7 @@ TEST(RpMigration, NoLossDuringForcedSplit) {
 TEST(RpMigration, TrafficMovesToTheNewRp) {
   LineWorld w(4);
   w.singleRootRp(0);
+  w.internCds({Name::parse("/1/1"), Name::parse("/2/2")});
   DeliveryLog log;
   log.attach(w);
 
@@ -122,6 +124,7 @@ TEST(RpMigration, TwoSuccessiveSplitsStillDeliverEverything) {
   std::uint64_t seq = 0;
   const std::vector<Name> cdList = {Name::parse("/1/1"), Name::parse("/2/1"),
                                     Name::parse("/3/1"), Name::parse("/4/1")};
+  w.internCds(cdList);
   for (int i = 0; i < 100; ++i) {
     for (const Name& cd : cdList) {
       ++seq;

@@ -10,6 +10,7 @@
 #include "common/name_table.hpp"
 #include "common/rng.hpp"
 #include "common/seq_window.hpp"
+#include "copss/packets.hpp"
 #include "ndn/packets.hpp"
 
 namespace gcopss::test {
@@ -91,8 +92,8 @@ INSTANTIATE_TEST_SUITE_P(Names, NameRoundTrip,
 
 // ---------------------------------------------------------------------------
 // NameTable: the interner must agree with the string-based Name on every
-// observable — same id for equal names, same hash, and the same parent /
-// prefix relations — over a generated name universe.
+// observable — same id for equal names, and the same parent / prefix
+// relations — over a generated name universe.
 // ---------------------------------------------------------------------------
 
 std::vector<Name> nameUniverse() {
@@ -106,18 +107,16 @@ std::vector<Name> nameUniverse() {
 }
 
 TEST(NameTable, InternRoundTripsThroughParse) {
-  auto& table = NameTable::instance();
+  NameTable table;
   for (const Name& n : nameUniverse()) {
     const NameId id = table.intern(n);
-    EXPECT_EQ(table.intern(n.toString()), id) << n.toString();
+    EXPECT_EQ(table.intern(Name::parse(n.toString())), id) << n.toString();
     EXPECT_EQ(table.name(id), n) << n.toString();
-    EXPECT_EQ(table.toString(id), n.toString());
-    EXPECT_EQ(Name::parse(table.toString(id)), n);
   }
 }
 
 TEST(NameTable, InterningIsIdempotentAndInjective) {
-  auto& table = NameTable::instance();
+  NameTable table;
   const auto universe = nameUniverse();
   std::unordered_map<NameId, Name> seen;
   for (const Name& n : universe) {
@@ -130,35 +129,46 @@ TEST(NameTable, InterningIsIdempotentAndInjective) {
   }
 }
 
-TEST(NameTable, HashMatchesNameHash) {
-  auto& table = NameTable::instance();
-  for (const Name& n : nameUniverse()) {
-    EXPECT_EQ(table.hash(table.intern(n)), n.hash()) << n.toString();
-  }
-}
-
 TEST(NameTable, ParentAndDepthMatchStringPrefixes) {
-  auto& table = NameTable::instance();
+  NameTable table;
   for (const Name& n : nameUniverse()) {
     const NameId id = table.intern(n);
     EXPECT_EQ(table.depth(id), n.size()) << n.toString();
     if (!n.empty()) {
       EXPECT_EQ(table.parent(id), table.intern(n.prefix(n.size() - 1))) << n.toString();
-      EXPECT_EQ(table.component(id), n.at(n.size() - 1));
     }
+    // Every prefix resolves to itself, and a never-interned extension to n.
     for (std::size_t len = 0; len <= n.size(); ++len) {
-      EXPECT_EQ(table.prefix(id, len), table.intern(n.prefix(len))) << n.toString();
+      EXPECT_EQ(table.deepest(n.prefix(len)), table.intern(n.prefix(len))) << n.toString();
     }
+    const std::size_t interned = table.size();
+    EXPECT_EQ(table.deepest(n.append("unseen").append("x")), id) << n.toString();
+    EXPECT_EQ(table.size(), interned);
   }
 }
 
 TEST(NameTable, IsPrefixOfAgreesWithName) {
-  auto& table = NameTable::instance();
+  NameTable table;
   const auto universe = nameUniverse();
   for (const Name& a : universe) {
     for (const Name& b : universe) {
       EXPECT_EQ(table.isPrefixOf(table.intern(a), table.intern(b)), a.isPrefixOf(b))
           << a.toString() << " vs " << b.toString();
+    }
+  }
+}
+
+// The first hop's prefix hashes are each level's Name::hash(): Subscription
+// Tables key their Bloom bits by Name::hash(), and publications are matched
+// by these.
+TEST(PrefixHashes, MatchNameHashAtEveryLevel) {
+  for (const Name& cd : nameUniverse()) {
+    std::vector<std::uint64_t> hashes{42};  // appends after what is there
+    copss::appendPrefixHashes(cd, hashes);
+    ASSERT_EQ(hashes.size(), cd.size() + 2) << cd.toString();
+    EXPECT_EQ(hashes[0], 42u);
+    for (std::size_t len = 0; len <= cd.size(); ++len) {
+      EXPECT_EQ(hashes[len + 1], cd.prefix(len).hash()) << cd.toString() << " @" << len;
     }
   }
 }

@@ -18,7 +18,8 @@ using namespace gcopss::ndn;
 // ---------------- FIB ----------------
 
 TEST(Fib, LongestPrefixMatchWins) {
-  Fib fib;
+  NameTable names;
+  Fib fib(names);
   fib.insert(Name::parse("/a"), 1);
   fib.insert(Name::parse("/a/b"), 2);
   EXPECT_EQ(fib.lpm(Name::parse("/a/b/c")), (std::vector<NodeId>{2}));
@@ -27,13 +28,15 @@ TEST(Fib, LongestPrefixMatchWins) {
 }
 
 TEST(Fib, RootEntryCatchesEverything) {
-  Fib fib;
+  NameTable names;
+  Fib fib(names);
   fib.insert(Name(), 7);
   EXPECT_EQ(fib.lpm(Name::parse("/anything/at/all")), (std::vector<NodeId>{7}));
 }
 
 TEST(Fib, MultipleFacesPerPrefix) {
-  Fib fib;
+  NameTable names;
+  Fib fib(names);
   fib.insert(Name::parse("/m"), 1);
   fib.insert(Name::parse("/m"), 2);
   fib.insert(Name::parse("/m"), 1);  // a repeated pair is one entry
@@ -42,7 +45,8 @@ TEST(Fib, MultipleFacesPerPrefix) {
 }
 
 TEST(Fib, RemovePrefixClearsAllFaces) {
-  Fib fib;
+  NameTable names;
+  Fib fib(names);
   fib.insert(Name::parse("/p"), 1);
   fib.insert(Name::parse("/p"), 2);
   fib.removePrefix(Name::parse("/p"));
@@ -51,7 +55,8 @@ TEST(Fib, RemovePrefixClearsAllFaces) {
 }
 
 TEST(Fib, IntersectingFindsAncestorsAndDescendants) {
-  Fib fib;
+  NameTable names;
+  Fib fib(names);
   fib.insert(Name::parse("/1/1"), 1);
   fib.insert(Name::parse("/1/2"), 2);
   fib.insert(Name::parse("/2"), 3);
@@ -74,7 +79,8 @@ TEST(Fib, IntersectingOrderIsDeterministic) {
   std::vector<std::string> insertionOrder = prefixes;
   std::vector<std::string> expected;
   {
-    Fib fib;
+    NameTable names;
+    Fib fib(names);
     NodeId face = 1;
     for (const auto& p : insertionOrder) fib.insert(Name::parse(p), face++);
     for (const Name& name : fib.intersecting(Name::parse("/1"))) {
@@ -86,7 +92,8 @@ TEST(Fib, IntersectingOrderIsDeterministic) {
   // Every insertion order yields the identical sequence.
   std::sort(insertionOrder.begin(), insertionOrder.end());
   do {
-    Fib fib;
+    NameTable names;
+    Fib fib(names);
     NodeId face = 1;
     for (const auto& p : insertionOrder) fib.insert(Name::parse(p), face++);
     std::vector<std::string> got;
@@ -102,8 +109,8 @@ TEST(Fib, LpmMatchesRouteModelUnderChurn) {
   // on top of it — against a model: the faces of the longest prefix in the
   // test's own live (prefix, face) list, under inserts and removePrefix
   // (the one removal routers use).
-  Fib fib;
-  auto& names = NameTable::instance();
+  NameTable names;
+  Fib fib(names);
   Rng rng(23);
   // Hierarchical CD universe: /g<a>, /g<a>/r<b>, /g<a>/r<b>/c<c>.
   const auto below = [&rng](std::uint64_t n) { return rng.next() % n; };
@@ -176,13 +183,13 @@ TEST(Fib, LpmMatchesRouteModelUnderChurn) {
 }
 
 TEST(Fib, LookupsNeverIntern) {
-  Fib fib;
+  NameTable names;
+  Fib fib(names);
   fib.insert(Name(), 1);
   fib.insert(Name::parse("/1"), 2);
   fib.insert(Name::parse("/1/z"), 3);
-  auto& names = NameTable::instance();
   const Name unseen = Name::parse("/1/q");
-  ASSERT_EQ(names.find(unseen), kInvalidNameId);
+  ASSERT_LT(names.depth(names.deepest(unseen)), unseen.size());
   const std::size_t interned = names.size();
 
   EXPECT_EQ(fib.lpm(unseen), (std::vector<NodeId>{2}));
@@ -269,6 +276,7 @@ struct ForwarderHarness {
   std::vector<std::pair<NodeId, PacketPtr>> sent;
   std::vector<Name> localData;
   SimTime now = 0;
+  NameTable names;
   Forwarder fwd;
 
   ForwarderHarness()
@@ -278,13 +286,13 @@ struct ForwarderHarness {
                 [this](const DataPacketPtr& d) {
                   localData.push_back(d->name);
                 }},
-            Forwarder::Options{}, [this]() { return now; }) {}
+            Forwarder::Options{}, [this]() { return now; }, names) {}
 };
 
 TEST(Forwarder, InterestFollowsFibAndDataFollowsPit) {
   ForwarderHarness h;
   h.fwd.fib().insert(Name::parse("/src"), 5);
-  h.fwd.onInterest(1, makePacket<InterestPacket>(Name::parse("/src/x"), 1));
+  h.fwd.onInterest(1, makePacket<InterestPacket>(h.names, Name::parse("/src/x"), 1));
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].first, 5);
 
@@ -296,11 +304,11 @@ TEST(Forwarder, InterestFollowsFibAndDataFollowsPit) {
 TEST(Forwarder, CacheHitAnswersWithoutForwarding) {
   ForwarderHarness h;
   h.fwd.fib().insert(Name::parse("/src"), 5);
-  h.fwd.onInterest(1, makePacket<InterestPacket>(Name::parse("/src/x"), 1));
+  h.fwd.onInterest(1, makePacket<InterestPacket>(h.names, Name::parse("/src/x"), 1));
   h.fwd.onData(5, makePacket<DataPacket>(Name::parse("/src/x"), 10, 0, 0));
   h.sent.clear();
   // Second Interest for the same name: served from the CS on face 2.
-  h.fwd.onInterest(2, makePacket<InterestPacket>(Name::parse("/src/x"), 2));
+  h.fwd.onInterest(2, makePacket<InterestPacket>(h.names, Name::parse("/src/x"), 2));
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].first, 2);
   EXPECT_EQ(h.fwd.contentStore().hits(), 1u);
@@ -308,9 +316,22 @@ TEST(Forwarder, CacheHitAnswersWithoutForwarding) {
 
 TEST(Forwarder, NoRouteCountsDrop) {
   ForwarderHarness h;
-  h.fwd.onInterest(1, makePacket<InterestPacket>(Name::parse("/nowhere"), 1));
+  h.fwd.onInterest(1, makePacket<InterestPacket>(h.names, Name::parse("/nowhere"), 1));
   EXPECT_TRUE(h.sent.empty());
   EXPECT_EQ(h.fwd.noRouteDrops(), 1u);
+}
+
+TEST(Forwarder, UninternedNameTakesItsRoutedPrefixAndInternsNothing) {
+  ForwarderHarness h;
+  h.fwd.fib().insert(Name::parse("/src"), 5);
+  h.fwd.fib().insert(Name::parse("/other/deep"), 6);
+  const std::size_t interned = h.names.size();
+  const auto interest = makePacket<InterestPacket>(h.names, Name::parse("/src/never/seen"), 1);
+  EXPECT_EQ(h.names.name(interest->nameId), Name::parse("/src"));
+  h.fwd.onInterest(1, interest);
+  ASSERT_EQ(h.sent.size(), 1u);
+  EXPECT_EQ(h.sent[0].first, 5);
+  EXPECT_EQ(h.names.size(), interned);
 }
 
 TEST(Forwarder, UnsolicitedDataDropped) {
@@ -323,7 +344,7 @@ TEST(Forwarder, UnsolicitedDataDropped) {
 TEST(Forwarder, LocalExpressAndSatisfy) {
   ForwarderHarness h;
   h.fwd.fib().insert(Name::parse("/p"), 4);
-  h.fwd.expressInterest(makePacket<InterestPacket>(Name::parse("/p/d"), 9));
+  h.fwd.expressInterest(makePacket<InterestPacket>(h.names, Name::parse("/p/d"), 9));
   ASSERT_EQ(h.sent.size(), 1u);
   h.fwd.onData(4, makePacket<DataPacket>(Name::parse("/p/d"), 10, 0, 0));
   ASSERT_EQ(h.localData.size(), 1u);

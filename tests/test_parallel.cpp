@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/name_table.hpp"
 #include "des/parallel.hpp"
 #include "game/map.hpp"
 #include "game/objects.hpp"
@@ -266,13 +266,19 @@ struct SplitRun {
   std::vector<std::size_t> shard;     // per router
 };
 
-SplitRun runTwoHotRps(std::size_t threads) {
+// `internCds` interns the published CDs at setup, as every harness does:
+// the splits route them on worker lanes.
+SplitRun runTwoHotRps(std::size_t threads, bool internCds = true) {
   copss::CopssRouter::Options opts;
   opts.autoBalance = true;
   opts.balance.backlogThreshold = ms(20);
   opts.balance.windowSize = 64;
   opts.balance.cooldown = seconds(10);
   LineWorld w(6, opts, SimParams::largeScale(), /*ring=*/true);
+  if (internCds) {
+    w.internCds({Name::parse("/a/1"), Name::parse("/a/2"), Name::parse("/b/1"),
+                 Name::parse("/b/2")});
+  }
   copss::RpAssignment a;
   a.prefixToRp[Name::parse("/a")] = w.routerIds[1];
   a.prefixToRp[Name::parse("/b")] = w.routerIds[4];
@@ -331,6 +337,36 @@ TEST(ParallelDeterminism, AutoBalanceSplitsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(par.splits, serial.splits) << "threads=" << threads;
     EXPECT_EQ(par.firstSplitAt, serial.firstSplitAt) << "threads=" << threads;
   }
+}
+
+TEST(ParallelDeterminism, SplitRoutingAnUninternedCdOnAWorkerLaneThrows) {
+  // Without setup interning the first split would grow the world's
+  // NameTable inside a round, racing the other shard's lookups.
+  try {
+    runTwoHotRps(2, /*internCds=*/false);
+    ADD_FAILURE() << "the split routed an uninterned CD inside a round";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("inside a parallel round"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Two worlds share no state: each owns its names, engine and recorders, so
+// two different worlds may run at once in one process, each on its own
+// parallel engine, and reproduce the digests they give alone.
+TEST(ParallelWorlds, TwoWorldsOnTwoThreadsReproduceTheirSoloDigests) {
+  const TraceDigest chaosAlone = runWorld(2, /*chaos=*/true);
+  const SplitRun splitAlone = runTwoHotRps(2);
+  TraceDigest chaos;
+  SplitRun split;
+  std::thread a([&chaos]() { chaos = runWorld(2, /*chaos=*/true); });
+  std::thread b([&split]() { split = runTwoHotRps(2); });
+  a.join();
+  b.join();
+  EXPECT_EQ(chaos, chaosAlone);
+  EXPECT_EQ(split.digest, splitAlone.digest);
+  EXPECT_EQ(split.splits, splitAlone.splits);
+  EXPECT_EQ(split.firstSplitAt, splitAlone.firstSplitAt);
 }
 
 // Two senders' deliveries tie at one receiver: same send time, same arrival
@@ -477,49 +513,6 @@ TEST(ParallelShared, PacketRefCountSurvivesConcurrentRetainRelease) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(base->size, Bytes{64});  // object alive and intact
-}
-
-TEST(ParallelShared, NameTableConcurrentInternAndRead) {
-  NameTable table;
-  // Sequential pre-intern (the documented determinism contract), then
-  // concurrent readers doing id-walks while writers extend fresh subtrees.
-  std::vector<NameId> ids;
-  for (int i = 0; i < 64; ++i) {
-    ids.push_back(table.intern(Name::parse("/pre/" + std::to_string(i))));
-  }
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&table, t]() {  // writers: disjoint subtrees
-      for (int i = 0; i < 500; ++i) {
-        table.intern(Name::parse("/w" + std::to_string(t) + "/" + std::to_string(i)));
-      }
-    });
-  }
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&table, &ids, &failed]() {  // readers: id walks
-      for (int round = 0; round < 500; ++round) {
-        for (NameId id : ids) {
-          if (table.depth(id) != 2 || table.parent(id) == kInvalidNameId ||
-              !table.isPrefixOf(kRootNameId, id)) {
-            failed.store(true);
-            return;
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(failed.load());
-  // Interleaved interning stayed structurally sound.
-  for (int t = 0; t < 2; ++t) {
-    for (int i = 0; i < 500; ++i) {
-      const Name n = Name::parse("/w" + std::to_string(t) + "/" + std::to_string(i));
-      const NameId id = table.find(n);
-      ASSERT_NE(id, kInvalidNameId);
-      EXPECT_EQ(table.name(id).toString(), n.toString());
-    }
-  }
 }
 
 TEST(ParallelShared, FaultLanesAreSeedStablePerLink) {

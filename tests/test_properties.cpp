@@ -81,6 +81,7 @@ TEST_P(MigrationNoLoss, ContinuousPublishingThroughASplit) {
   const std::vector<Name> universe = {Name::parse("/1/1"), Name::parse("/1/2"),
                                       Name::parse("/2/1"), Name::parse("/2/2"),
                                       Name::parse("/3/1")};
+  w.internCds(universe);
   w.sim->scheduleAt(0, [&]() {
     w.clients[5]->subscribe(Name());
     for (std::size_t c = 1; c < 5; ++c) {

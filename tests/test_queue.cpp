@@ -482,6 +482,7 @@ std::uint64_t splitsWithQueues(bool enableQueues) {
   cheap.copssForwardCost = us(1);
   LineWorld w(3, opts, cheap);
   w.singleRootRp(1);
+  w.internCds({Name::parse("/a/1"), Name::parse("/b/1")});
   if (enableQueues) {
     // Only the RP's router-to-router egress links are slow (100 kbps).
     w.topo->setLinkBandwidth(w.routerIds[1], w.routerIds[0], 1e5);

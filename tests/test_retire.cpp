@@ -54,6 +54,7 @@ TEST(RpRetirement, SplitThenRetireComposes) {
   w.sim->scheduleAt(0, [&]() { w.clients[5]->subscribe(Name()); });
   std::uint64_t seq = 0;
   const std::vector<Name> cds = {Name::parse("/1/1"), Name::parse("/2/1")};
+  w.internCds(cds);
   for (int i = 0; i < 150; ++i) {
     for (const Name& cd : cds) {
       ++seq;

@@ -94,11 +94,22 @@ TEST(TwoStep, HarnessModeDeliversSameAudienceAtHigherCost) {
   one.numRps = 2;
   gc::GCopssRunConfig two = one;
   two.twoStep = true;
+  // Each publication has a content name of its own; fetching it interns
+  // nothing (the Interests resolve it to the routed publisher prefix).
+  std::size_t namesAtReady = 0;
+  std::size_t namesAtDrained = 0;
+  two.onWorldReady = [&](const gc::GCopssRunConfig::WorldView& v) {
+    namesAtReady = v.net.names().size();
+  };
+  two.onRunDrained = [&](const gc::GCopssRunConfig::WorldView& v) {
+    namesAtDrained = v.net.names().size();
+  };
 
   const auto r1 = gc::runGCopssTrace(map, trace, one);
   const auto r2 = gc::runGCopssTrace(map, trace, two);
   EXPECT_EQ(r1.deliveries, r2.deliveries) << "same audience either way";
   EXPECT_GT(r2.meanMs, r1.meanMs) << "two-step pays at least one extra RTT";
+  EXPECT_EQ(namesAtDrained, namesAtReady);
 }
 
 }  // namespace

@@ -14,10 +14,13 @@ namespace {
 
 using namespace gcopss::wire;
 
+// The receiving world's table; decode only looks names up in it.
+const NameTable kNames;
+
 template <typename T>
 RefPtr<const T> roundTrip(const PacketPtr& in) {
   const auto bytes = encode(in);
-  const PacketPtr out = decode(bytes);
+  const PacketPtr out = decode(bytes, kNames);
   const auto typed = packet_dynamic_cast<T>(out);
   EXPECT_NE(typed, nullptr) << "decoded type mismatch";
   return typed;
@@ -26,7 +29,7 @@ RefPtr<const T> roundTrip(const PacketPtr& in) {
 TEST(Wire, InterestRoundTripsWithEncapsulation) {
   auto inner = makePacket<copss::MulticastPacket>(
       std::vector<Name>{Name::parse("/1/2")}, 123, ms(7), 42, 9);
-  auto in = makePacket<ndn::InterestPacket>(Name::parse("/1/2"), 777, 200, inner);
+  auto in = makePacket<ndn::InterestPacket>(kNames, Name::parse("/1/2"), 777, 200, inner);
   const auto out = roundTrip<ndn::InterestPacket>(in);
   ASSERT_TRUE(out);
   EXPECT_EQ(out->name, Name::parse("/1/2"));
@@ -42,7 +45,7 @@ TEST(Wire, InterestRoundTripsWithEncapsulation) {
 }
 
 TEST(Wire, PlainInterestWithoutPayload) {
-  auto in = makePacket<ndn::InterestPacket>(Name::parse("/snapshot/1/2/o/3"), 5);
+  auto in = makePacket<ndn::InterestPacket>(kNames, Name::parse("/snapshot/1/2/o/3"), 5);
   const auto out = roundTrip<ndn::InterestPacket>(in);
   ASSERT_TRUE(out);
   EXPECT_FALSE(out->encapsulated);
@@ -108,7 +111,6 @@ TEST(Wire, ControlPacketsRoundTrip) {
   EXPECT_TRUE(roundTrip<copss::StJoinPacket>(makePacket<copss::StJoinPacket>(cds, 1)));
   EXPECT_TRUE(roundTrip<copss::StConfirmPacket>(makePacket<copss::StConfirmPacket>(cds, 2)));
   EXPECT_TRUE(roundTrip<copss::StLeavePacket>(makePacket<copss::StLeavePacket>(cds, 3)));
-  EXPECT_TRUE(roundTrip<copss::FibRemovePacket>(makePacket<copss::FibRemovePacket>(cds, 5, 4)));
 }
 
 TEST(Wire, EpochStampedControlPacketsRoundTrip) {
@@ -164,7 +166,7 @@ TEST(Wire, MismatchedEpochCountIsRejected) {
     }
   }
   ASSERT_TRUE(corrupted);
-  EXPECT_THROW(decode(bytes), WireError);
+  EXPECT_THROW(decode(bytes, kNames), WireError);
 }
 
 TEST(Wire, IpUnicastRoundTrips) {
@@ -196,22 +198,22 @@ TEST(Wire, RejectsBadMagicVersionAndTruncation) {
   {
     auto bad = good;
     bad[0] ^= 0xff;
-    EXPECT_THROW(decode(bad), WireError);
+    EXPECT_THROW(decode(bad, kNames), WireError);
   }
   {
     auto bad = good;
     bad[2] = 99;  // version
-    EXPECT_THROW(decode(bad), WireError);
+    EXPECT_THROW(decode(bad, kNames), WireError);
   }
   for (std::size_t cut = 0; cut < good.size(); ++cut) {
     std::vector<std::uint8_t> truncated(good.begin(),
                                         good.begin() + static_cast<long>(cut));
-    EXPECT_THROW(decode(truncated), WireError) << "cut at " << cut;
+    EXPECT_THROW(decode(truncated, kNames), WireError) << "cut at " << cut;
   }
   {
     auto trailing = good;
     trailing.push_back(0);
-    EXPECT_THROW(decode(trailing), WireError);
+    EXPECT_THROW(decode(trailing, kNames), WireError);
   }
 }
 
@@ -221,7 +223,7 @@ TEST(Wire, RandomBytesNeverCrash) {
     std::vector<std::uint8_t> junk(static_cast<std::size_t>(rng.uniformInt(0, 64)));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
     try {
-      (void)decode(junk);
+      (void)decode(junk, kNames);
     } catch (const WireError&) {
       // expected for almost every input
     }
@@ -252,7 +254,7 @@ TEST_P(WireFuzzRoundTrip, EncodeDecodeEncodeIsStable) {
             rng.next(), static_cast<NodeId>(rng.uniformInt(0, 1000)));
         break;
       case 1:
-        p = makePacket<ndn::InterestPacket>(randomName(), rng.next());
+        p = makePacket<ndn::InterestPacket>(kNames, randomName(), rng.next());
         break;
       case 2:
         p = makePacket<ndn::DataPacket>(randomName(),
@@ -264,7 +266,7 @@ TEST_P(WireFuzzRoundTrip, EncodeDecodeEncodeIsStable) {
         break;
     }
     const auto once = encode(p);
-    const auto twice = encode(decode(once));
+    const auto twice = encode(decode(once, kNames));
     EXPECT_EQ(once, twice);
   }
 }
@@ -292,7 +294,7 @@ const TagCase kTagCases[] = {
     {WireTag::Interest,
      +[]() -> PacketPtr {
        return makePacket<ndn::InterestPacket>(
-           Name::parse("/i/1"), 7, 40,
+           kNames, Name::parse("/i/1"), 7, 40,
            makePacket<copss::MulticastPacket>(std::vector<Name>{Name::parse("/m")},
                                               10, ms(1), 2, 3));
      }},
@@ -326,11 +328,6 @@ const TagCase kTagCases[] = {
      +[]() -> PacketPtr {
        return makePacket<copss::FibAddPacket>(
            std::vector<Name>{Name::parse("/f")}, std::vector<std::uint64_t>{3}, 9, 100);
-     }},
-    {WireTag::FibRemove,
-     +[]() -> PacketPtr {
-       return makePacket<copss::FibRemovePacket>(std::vector<Name>{Name::parse("/f")},
-                                                 9, 101);
      }},
     {WireTag::RpHandoff,
      +[]() -> PacketPtr {
@@ -395,7 +392,7 @@ TEST(Wire, EveryTagRoundTripsExhaustively) {
     // Frame header carries the expected tag byte.
     ASSERT_GE(bytes.size(), 4u);
     EXPECT_EQ(bytes[3], static_cast<std::uint8_t>(c.tag));
-    const PacketPtr back = decode(bytes);
+    const PacketPtr back = decode(bytes, kNames);
     EXPECT_EQ(wireTag(*back), c.tag);
     // Bit-exact fixpoint, and encodedSize agrees with the real encoding.
     EXPECT_EQ(encode(*back), bytes) << "tag " << static_cast<int>(c.tag);
@@ -419,13 +416,31 @@ void putWireName(WireWriter& w, const Name& n) {
   for (const auto& c : n.components()) w.lengthPrefixed(c);
 }
 
+TEST(WireHardening, RetiredTagNineIsUnknown) {
+  // Tag 9 carried FibRemove, which no simulator sent. Tags are append-only:
+  // 9 stays out of the tag list, and a well-formed old body under it is an
+  // unknown tag.
+  for (const WireTag tag : kAllWireTags) EXPECT_NE(static_cast<int>(tag), 9);
+  WireWriter w;
+  w.u16(kMagic);
+  w.u8(kVersion);
+  w.u8(9);
+  w.varint(1);
+  putWireName(w, Name::parse("/f"));
+  w.u32(4);    // origin
+  w.u64(101);  // txn
+  const auto bytes = w.take();
+  EXPECT_THROW(decode(bytes, kNames), WireError);
+  EXPECT_EQ(tryDecode(bytes, kNames).error, "unknown packet tag");
+}
+
 TEST(WireHardening, FrameSizeCapRejectsOversizedInput) {
   // Content never matters: the cap fires before any parsing.
   const std::vector<std::uint8_t> huge(kMaxFrameBytes + 1, 0);
-  EXPECT_THROW(decode(huge), WireError);
+  EXPECT_THROW(decode(huge, kNames), WireError);
   // At the cap itself the frame is parsed (and rejected for its content).
   const std::vector<std::uint8_t> atCap(kMaxFrameBytes, 0);
-  EXPECT_THROW(decode(atCap), WireError);  // bad magic, not the size cap
+  EXPECT_THROW(decode(atCap, kNames), WireError);  // bad magic, not the size cap
 }
 
 TEST(WireHardening, NameComponentCountCap) {
@@ -433,13 +448,13 @@ TEST(WireHardening, NameComponentCountCap) {
   w.varint(kMaxNameComponents + 1);
   for (std::size_t i = 0; i <= kMaxNameComponents; ++i) w.lengthPrefixed("a");
   w.u8(0);
-  EXPECT_THROW(decode(w.take()), WireError);
+  EXPECT_THROW(decode(w.take(), kNames), WireError);
 
   // Exactly at the cap decodes (and round-trips).
   std::vector<std::string> comps(kMaxNameComponents, "a");
   const auto bytes =
       encode(*makePacket<copss::SubscribePacket>(Name(std::move(comps))));
-  const auto back = packet_dynamic_cast<copss::SubscribePacket>(decode(bytes));
+  const auto back = packet_dynamic_cast<copss::SubscribePacket>(decode(bytes, kNames));
   ASSERT_TRUE(back);
   EXPECT_EQ(back->cd.size(), kMaxNameComponents);
 }
@@ -451,25 +466,25 @@ TEST(WireHardening, ComponentByteCap) {
   w.varint(1);
   w.varint(std::uint64_t{1} << 40);  // 1 TiB component, no bytes behind it
   w.u8(0);
-  EXPECT_THROW(decode(w.take()), WireError);
+  EXPECT_THROW(decode(w.take(), kNames), WireError);
 
   // A component of exactly kMaxComponentBytes is legal.
   const auto bytes = encode(*makePacket<copss::SubscribePacket>(
       Name({std::string(kMaxComponentBytes, 'x')})));
-  EXPECT_TRUE(packet_dynamic_cast<copss::SubscribePacket>(decode(bytes)));
+  EXPECT_TRUE(packet_dynamic_cast<copss::SubscribePacket>(decode(bytes, kNames)));
 }
 
 TEST(WireHardening, NameCountCapAndInputLinearity) {
   {  // over the absolute cap
     auto w = frameFor(WireTag::StJoin);
     w.varint(kMaxNamesPerPacket + 1);
-    EXPECT_THROW(decode(w.take()), WireError);
+    EXPECT_THROW(decode(w.take(), kNames), WireError);
   }
   {  // under the cap, but claiming more names than there are bytes
     auto w = frameFor(WireTag::StJoin);
     w.varint(1024);
     putWireName(w, Name::parse("/only/one"));
-    EXPECT_THROW(decode(w.take()), WireError);
+    EXPECT_THROW(decode(w.take(), kNames), WireError);
   }
 }
 
@@ -480,7 +495,7 @@ TEST(WireHardening, SegmentEntryCountCap) {
   w.i64(0);      // createdAt
   w.u64(1);      // seq
   w.varint(kMaxSegmentEntries + 1);
-  EXPECT_THROW(decode(w.take()), WireError);
+  EXPECT_THROW(decode(w.take(), kNames), WireError);
 
   // Hostile count below the cap but above what the bytes can hold.
   auto v = frameFor(WireTag::UpdateSegment);
@@ -490,7 +505,7 @@ TEST(WireHardening, SegmentEntryCountCap) {
   v.u64(1);
   v.varint(1000);
   v.u64(1);  // one partial entry
-  EXPECT_THROW(decode(v.take()), WireError);
+  EXPECT_THROW(decode(v.take(), kNames), WireError);
 }
 
 TEST(WireHardening, EpochCountCannotOverrunInput) {
@@ -500,30 +515,30 @@ TEST(WireHardening, EpochCountCannotOverrunInput) {
   putWireName(w, Name::parse("/p"));
   w.varint(1);  // one epoch promised...
   // ...but no 8 bytes behind it.
-  EXPECT_THROW(decode(w.take()), WireError);
+  EXPECT_THROW(decode(w.take(), kNames), WireError);
 }
 
 TEST(WireHardening, EncapsulationDepthCap) {
   // Depth kMaxDecodeDepth (leaf at the deepest slot) is fine.
   PacketPtr ok = makePacket<ndn::DataPacket>(Name::parse("/leaf"), 1, 0, 0);
   for (std::size_t i = 1; i < kMaxDecodeDepth; ++i) {
-    ok = makePacket<ndn::InterestPacket>(Name::parse("/i"), i, 40, std::move(ok));
+    ok = makePacket<ndn::InterestPacket>(kNames, Name::parse("/i"), i, 40, std::move(ok));
   }
-  EXPECT_TRUE(decode(encode(*ok)));
+  EXPECT_TRUE(decode(encode(*ok), kNames));
 
   // One more level of nesting crosses the budget.
   PacketPtr deep = makePacket<ndn::DataPacket>(Name::parse("/leaf"), 1, 0, 0);
   for (std::size_t i = 0; i < kMaxDecodeDepth; ++i) {
-    deep = makePacket<ndn::InterestPacket>(Name::parse("/i"), i, 40, std::move(deep));
+    deep = makePacket<ndn::InterestPacket>(kNames, Name::parse("/i"), i, 40, std::move(deep));
   }
-  EXPECT_THROW(decode(encode(*deep)), WireError);
+  EXPECT_THROW(decode(encode(*deep), kNames), WireError);
 }
 
 TEST(WireHardening, ZeroComponentNamesAreLegal) {
   // The root name (zero components) is meaningful (root RP prefix) and must
   // survive, not be conflated with malformed input.
   const auto bytes = encode(*makePacket<copss::SubscribePacket>(Name()));
-  const auto back = packet_dynamic_cast<copss::SubscribePacket>(decode(bytes));
+  const auto back = packet_dynamic_cast<copss::SubscribePacket>(decode(bytes, kNames));
   ASSERT_TRUE(back);
   EXPECT_EQ(back->cd, Name());
 }
@@ -552,11 +567,11 @@ TEST(WireNestedFrames, InnerTruncationIsNeverMaskedByOuterFraming) {
   for (std::size_t cut = 0; cut < inner.size(); ++cut) {
     const std::vector<std::uint8_t> cutInner(inner.begin(),
                                              inner.begin() + static_cast<long>(cut));
-    EXPECT_THROW(decode(interestAround(cutInner, cut)), WireError)
+    EXPECT_THROW(decode(interestAround(cutInner, cut), kNames), WireError)
         << "inner cut at " << cut;
   }
   // The un-cut inner decodes: the construction above is the real layout.
-  EXPECT_TRUE(decode(interestAround(inner, inner.size())));
+  EXPECT_TRUE(decode(interestAround(inner, inner.size()), kNames));
 }
 
 TEST(WireNestedFrames, TrailingBytesInsideInnerFrameAreRejected) {
@@ -566,41 +581,41 @@ TEST(WireNestedFrames, TrailingBytesInsideInnerFrameAreRejected) {
   // the inner reader must flag it, not hand it back to the outer frame.
   auto smuggled = inner;
   smuggled.push_back(0xee);
-  EXPECT_THROW(decode(interestAround(smuggled, smuggled.size())), WireError);
+  EXPECT_THROW(decode(interestAround(smuggled, smuggled.size()), kNames), WireError);
 }
 
 TEST(WireNestedFrames, InnerLengthCannotClaimOuterBytes) {
   const auto inner = encode(*makePacket<copss::MulticastPacket>(
       std::vector<Name>{Name::parse("/m")}, 10, ms(1), 1, 2));
   // Declared length runs one past the bytes present in the outer frame.
-  EXPECT_THROW(decode(interestAround(inner, inner.size() + 1)), WireError);
+  EXPECT_THROW(decode(interestAround(inner, inner.size() + 1), kNames), WireError);
 }
 
 // ---------------- tryDecode ----------------
 
 TEST(WireTryDecode, AgreesWithDecodeOnAcceptAndReject) {
   const auto good = encode(*makePacket<ndn::DataPacket>(Name::parse("/d"), 9, ms(1), 2));
-  const auto ok = tryDecode(good);
+  const auto ok = tryDecode(good, kNames);
   ASSERT_TRUE(ok);
   EXPECT_TRUE(ok.error.empty());
   EXPECT_EQ(encode(*ok.packet), good);
 
   auto bad = good;
   bad[0] ^= 0xff;
-  const auto rejected = tryDecode(bad);
+  const auto rejected = tryDecode(bad, kNames);
   EXPECT_FALSE(rejected);
   EXPECT_EQ(rejected.packet, nullptr);
   EXPECT_FALSE(rejected.error.empty());
 
   // Same verdicts as the throwing API, input by input.
-  EXPECT_NO_THROW(decode(good));
-  EXPECT_THROW(decode(bad), WireError);
+  EXPECT_NO_THROW(decode(good, kNames));
+  EXPECT_THROW(decode(bad, kNames), WireError);
 }
 
 TEST(WireTryDecode, ReportsTheFailingConstraint) {
   auto w = frameFor(WireTag::Subscribe);
   w.varint(kMaxNameComponents + 1);
-  const auto r = tryDecode(w.take());
+  const auto r = tryDecode(w.take(), kNames);
   ASSERT_FALSE(r);
   EXPECT_NE(r.error.find("count"), std::string::npos) << r.error;
 }
@@ -608,7 +623,7 @@ TEST(WireTryDecode, ReportsTheFailingConstraint) {
 TEST(Wire, AnnounceRoundTrips) {
   const auto out = packet_dynamic_cast<copss::AnnouncePacket>(
       wire::decode(wire::encode(*makePacket<copss::AnnouncePacket>(
-          Name::parse("/1/2"), Name::parse("/pub/5/9"), 4096, ms(3), 9, 5))));
+          Name::parse("/1/2"), Name::parse("/pub/5/9"), 4096, ms(3), 9, 5)), kNames));
   ASSERT_TRUE(out);
   EXPECT_EQ(out->contentName, Name::parse("/pub/5/9"));
   EXPECT_EQ(out->fullSize, 4096u);

@@ -83,6 +83,14 @@ struct LineWorld {
     for (auto* r : routers) r->setRpCandidates(routerIds);
   }
 
+  // Intern CDs the test publishes before any traffic, as the harnesses do
+  // with their map's CDs. A split that routes one of them mid-run then lies
+  // on the parent chain of every Interest already carrying it, and on a
+  // worker lane the FIB may only look names up.
+  void internCds(const std::vector<Name>& cds) {
+    for (const Name& cd : cds) net->names().intern(cd);
+  }
+
   // Make router `rp` the RP for the root prefix (serves every CD).
   void singleRootRp(std::size_t rp) {
     copss::RpAssignment a;
