@@ -45,15 +45,19 @@ std::vector<Name> genNames(ByteSource& src, std::size_t maxCount,
   return out;
 }
 
-// Empty (legacy-unstamped) or exactly parallel to `names` — the only two
-// shapes getEpochs accepts.
+// A value the decoder accepts as an epoch or a reclaim/demote nonce: never 0.
+std::uint64_t genNonZero(ByteSource& src) {
+  const std::uint64_t v = src.u64();
+  return v == 0 ? 1 : v;
+}
+
+// Exactly parallel to `names`, every epoch >= 1: the only shape getEpochs
+// accepts.
 std::vector<std::uint64_t> genEpochs(ByteSource& src,
                                      const std::vector<Name>& names) {
   std::vector<std::uint64_t> epochs;
-  if (src.boolean()) {
-    epochs.reserve(names.size());
-    for (std::size_t i = 0; i < names.size(); ++i) epochs.push_back(src.u64());
-  }
+  epochs.reserve(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) epochs.push_back(genNonZero(src));
   return epochs;
 }
 
@@ -163,22 +167,18 @@ PacketPtr generatePacket(ByteSource& src, std::size_t depth) {
                                                genSize(src), genTime(src), src.u64(),
                                                genNode(src));
     case WireTag::RpReclaim: {
-      // Epoch vector is mandatory-parallel here (getEpochs also accepts
-      // empty, but the reconciliation path always stamps).
       auto prefixes = genNames(src, 5, 1);
-      std::vector<std::uint64_t> epochs;
-      epochs.reserve(prefixes.size());
-      for (std::size_t i = 0; i < prefixes.size(); ++i) epochs.push_back(src.u64());
+      auto epochs = genEpochs(src, prefixes);
       const auto ttl =
           static_cast<std::uint32_t>(src.u64() % (wire::kMaxReclaimTtl + 1));
       return makePacket<copss::RpReclaimPacket>(genNode(src), std::move(prefixes),
-                                                std::move(epochs), ttl, src.u64());
+                                                std::move(epochs), ttl, genNonZero(src));
     }
     case WireTag::RpDemote: {
       auto prefixes = genNames(src, 5, 1);
       auto epochs = genEpochs(src, prefixes);
       return makePacket<copss::RpDemotePacket>(genNode(src), std::move(prefixes),
-                                               std::move(epochs), src.u64());
+                                               std::move(epochs), genNonZero(src));
     }
     case WireTag::kWireTagEnd:
       break;

@@ -193,6 +193,26 @@ void decodeSeeds(const fs::path& dir) {
     w.u64(5);
     writeFile(dir, "epoch-count-mismatch.bin", w.take());
   }
+  {  // unstamped FibAdd: epoch count 0 beside two prefixes.
+    const std::vector<Name> two{Name::parse("/a"), Name::parse("/b")};
+    writeFile(dir, "epoch-count-zero.bin",
+              wire::encode(*makePacket<copss::FibAddPacket>(
+                  two, std::vector<std::uint64_t>{}, 1, 9)));
+  }
+  {  // an epoch of 0 on a RpHandoff.
+    const std::vector<Name> two{Name::parse("/a"), Name::parse("/b")};
+    writeFile(dir, "epoch-zero.bin",
+              wire::encode(*makePacket<copss::RpHandoffPacket>(
+                  two, std::vector<std::uint64_t>{3, 0}, 1, 2, 9)));
+  }
+  {  // reclaim and demote nonces of 0.
+    const std::vector<Name> one{Name::parse("/a")};
+    const std::vector<std::uint64_t> epochs{4};
+    writeFile(dir, "reclaim-nonce-zero.bin",
+              wire::encode(*makePacket<copss::RpReclaimPacket>(1, one, epochs, 2, 0)));
+    writeFile(dir, "demote-nonce-zero.bin",
+              wire::encode(*makePacket<copss::RpDemotePacket>(1, one, epochs, 0)));
+  }
   {  // trailing bytes inside a length-delimited inner frame.
     const auto inner = wire::encode(
         *makePacket<copss::MulticastPacket>(std::vector<Name>{Name::parse("/m")},

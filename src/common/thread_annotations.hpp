@@ -20,8 +20,8 @@
 // All simulation-facing state is either confined to one shard (routers, ST,
 // FIB, fault RNG lanes, the SPSC merge buffers — barriers/ownership order
 // those, not locks), grown only from sequential context (a Network's
-// NameTable), or guarded by the one set of real mutexes in the tree: the
-// ParallelSimulator round/error mutexes.
+// NameTable), or guarded by the one real mutex in the tree: the
+// ParallelSimulator round mutex.
 
 #include <mutex>
 

@@ -129,18 +129,14 @@ struct AnnouncePacket : MulticastPacket {
 // arrival face (reverse-path), forming a shortest-path tree toward the RP.
 struct FibAddPacket : Packet {
   static constexpr Kind kKind = Kind::FibAdd;
-  FibAddPacket(std::vector<Name> p, NodeId originIn, std::uint64_t txn)
-      : Packet(kKind, kControlPacketBytes), prefixes(std::move(p)), origin(originIn),
-        txnId(txn) {}
   FibAddPacket(std::vector<Name> p, std::vector<std::uint64_t> e, NodeId originIn,
                std::uint64_t txn)
       : Packet(kKind, kControlPacketBytes), prefixes(std::move(p)),
         epochs(std::move(e)), origin(originIn), txnId(txn) {}
   std::vector<Name> prefixes;
-  // Ownership epoch per prefix (parallel to `prefixes`). Routers apply an
-  // announcement only when its epoch is >= the highest they have observed for
-  // that prefix, so a stale re-advertisement can never overwrite the FIB.
-  // Empty (or a 0 entry): unstamped legacy announcement, applied verbatim.
+  // Ownership epoch (>= 1) per prefix, parallel to `prefixes`. Routers apply
+  // an announcement only when its epoch is >= the highest they have observed
+  // for that prefix, so a stale re-advertisement can never overwrite the FIB.
   std::vector<std::uint64_t> epochs;
   NodeId origin;
   std::uint64_t txnId;  // also the flood-suppression key
@@ -153,9 +149,6 @@ struct FibAddPacket : Packet {
 // toward the new RP and installs the relay ST entry back toward the old RP.
 struct RpHandoffPacket : Packet {
   static constexpr Kind kKind = Kind::RpHandoff;
-  RpHandoffPacket(std::vector<Name> c, NodeId oldRpIn, NodeId newRpIn, std::uint64_t txn)
-      : Packet(kKind, kControlPacketBytes), cds(std::move(c)), oldRp(oldRpIn),
-        newRp(newRpIn), txnId(txn) {}
   RpHandoffPacket(std::vector<Name> c, std::vector<std::uint64_t> e, NodeId oldRpIn,
                   NodeId newRpIn, std::uint64_t txn)
       : Packet(kKind, kControlPacketBytes), cds(std::move(c)), epochs(std::move(e)),
@@ -212,9 +205,6 @@ struct PubAckPacket : Packet {
 // the standby knows exactly what to assume when the beacons stop.
 struct RpHeartbeatPacket : Packet {
   static constexpr Kind kKind = Kind::RpHeartbeat;
-  RpHeartbeatPacket(NodeId rpIn, NodeId standbyIn, std::vector<Name> p)
-      : Packet(kKind, kControlPacketBytes), rp(rpIn), standby(standbyIn),
-        prefixes(std::move(p)) {}
   RpHeartbeatPacket(NodeId rpIn, NodeId standbyIn, std::vector<Name> p,
                     std::vector<std::uint64_t> e)
       : Packet(kKind, kControlPacketBytes), rp(rpIn), standby(standbyIn),
@@ -250,7 +240,7 @@ struct ResyncRequestPacket : Packet {
 struct RpReclaimPacket : Packet {
   static constexpr Kind kKind = Kind::RpReclaim;
   RpReclaimPacket(NodeId originIn, std::vector<Name> p, std::vector<std::uint64_t> e,
-                  std::uint32_t ttlIn = 0, std::uint64_t nonceIn = 0)
+                  std::uint32_t ttlIn, std::uint64_t nonceIn)
       : Packet(kKind, kControlPacketBytes), origin(originIn), prefixes(std::move(p)),
         epochs(std::move(e)), ttl(ttlIn), nonce(nonceIn) {}
   NodeId origin;
@@ -260,12 +250,10 @@ struct RpReclaimPacket : Packet {
   // copy (ttl - 1) to its other router faces, so the probe reaches the
   // routers that actually observed a takeover a few hops behind a healed
   // partition — the direct neighbours may be as stale as the claimant.
-  // 0 reproduces the legacy one-hop probe.
   std::uint32_t ttl;
-  // Flood-suppression and reverse-path key, minted by the claimant
+  // Flood-suppression and reverse-path key (never 0), minted by the claimant
   // (id << 32 | counter — the nextNonce_ scheme). Intermediates remember the
   // arrival face per nonce and route answering demotes back along it.
-  // 0: legacy un-keyed probe (never forwarded, never deduped).
   std::uint64_t nonce;
 };
 
@@ -276,15 +264,14 @@ struct RpReclaimPacket : Packet {
 struct RpDemotePacket : Packet {
   static constexpr Kind kKind = Kind::RpDemote;
   RpDemotePacket(NodeId originIn, std::vector<Name> p, std::vector<std::uint64_t> e,
-                 std::uint64_t nonceIn = 0)
+                 std::uint64_t nonceIn)
       : Packet(kKind, kControlPacketBytes), origin(originIn), prefixes(std::move(p)),
         epochs(std::move(e)), nonce(nonceIn) {}
   NodeId origin;
   std::vector<Name> prefixes;
   std::vector<std::uint64_t> epochs;  // highest epoch the sender has observed
   // Echo of the answered reclaim's nonce: lets intermediates that relayed
-  // the TTL'd probe route this demote back toward the claimant. 0: direct
-  // (one-hop) answer, never relayed.
+  // the TTL'd probe route this demote back toward the claimant.
   std::uint64_t nonce;
 };
 

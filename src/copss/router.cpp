@@ -41,7 +41,6 @@ std::uint64_t CopssRouter::epochSeen(const Name& prefix) const {
 }
 
 void CopssRouter::observeEpoch(const Name& prefix, std::uint64_t epoch) {
-  if (epoch == 0) return;  // unstamped legacy traffic carries no information
   auto& seen = epochSeen_[prefix];
   if (epoch > seen) seen = epoch;
 }
@@ -332,22 +331,14 @@ void CopssRouter::assumeRp(const std::vector<Name>& prefixes) {
   std::vector<std::uint64_t> epochs;
   epochs.reserve(prefixes.size());
   for (const Name& p : prefixes) epochs.push_back(nextEpochFor(p));
-  assumeRp(prefixes, epochs);
-}
-
-void CopssRouter::assumeRp(const std::vector<Name>& prefixes,
-                           const std::vector<std::uint64_t>& claimEpochs) {
-  assert(claimEpochs.size() == prefixes.size());
   const std::uint64_t txnId = nextTxnId_++;
   TxnState& t = txn(txnId);
   t.cds = prefixes;
   t.isOrigin = true;
   t.confirmed = true;
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    becomeRp(prefixes[i], claimEpochs[i]);
-  }
+  for (std::size_t i = 0; i < prefixes.size(); ++i) becomeRp(prefixes[i], epochs[i]);
   seenFloods_.insert(txnId);
-  const auto pktOut = makePacket<FibAddPacket>(prefixes, claimEpochs, id(), txnId);
+  const auto pktOut = makePacket<FibAddPacket>(prefixes, epochs, id(), txnId);
   for (NodeId nb : network().topology().neighbors(id())) {
     if (!hostFaces_.count(nb)) send(nb, pktOut);
   }
@@ -421,26 +412,19 @@ void CopssRouter::onHandoff(NodeId fromFace, const RpHandoffPacket& pkt) {
   if (pkt.newRp == id()) {
     // Phase 2 endpoint: become the RP, keep the old RP's tree alive through
     // a relay ST entry pointing back along the handoff path. Claims land at
-    // the successor epochs minted by the resigning owner (legacy unstamped
-    // handoffs fall back to locally-derived epochs).
+    // the successor epochs minted by the resigning owner.
     TxnState& t = txn(pkt.txnId);
     t.cds = pkt.cds;
     t.isOrigin = true;
     t.confirmed = true;
     t.newDownstream.insert(fromFace);
-    std::vector<std::uint64_t> epochs;
-    // gcopss-tidy: allow(hot-alloc) RP handoff endpoint: once per split transaction, not per publication
-    epochs.reserve(pkt.cds.size());
     for (std::size_t i = 0; i < pkt.cds.size(); ++i) {
-      const Name& cd = pkt.cds[i];
-      const std::uint64_t minted = i < pkt.epochs.size() ? pkt.epochs[i] : 0;
-      becomeRp(cd, minted != 0 ? minted : nextEpochFor(cd));
-      epochs.push_back(claimEpoch(cd));
-      st_.subscribe(fromFace, cd);  // relay toward the old RP's tree
+      becomeRp(pkt.cds[i], pkt.epochs[i]);
+      st_.subscribe(fromFace, pkt.cds[i]);  // relay toward the old RP's tree
     }
     // Phase 3: announce ourselves network-wide.
     seenFloods_.insert(pkt.txnId);
-    const auto pktOut = makePacket<FibAddPacket>(pkt.cds, epochs, id(), pkt.txnId);
+    const auto pktOut = makePacket<FibAddPacket>(pkt.cds, pkt.epochs, id(), pkt.txnId);
     for (NodeId nb : network().topology().neighbors(id())) {
       if (!hostFaces_.count(nb)) send(nb, pktOut);
     }
@@ -452,7 +436,7 @@ void CopssRouter::onHandoff(NodeId fromFace, const RpHandoffPacket& pkt) {
   assert(next != kInvalidNode);
   for (std::size_t i = 0; i < pkt.cds.size(); ++i) {
     const Name& cd = pkt.cds[i];
-    if (i < pkt.epochs.size()) observeEpoch(cd, pkt.epochs[i]);
+    observeEpoch(cd, pkt.epochs[i]);
     cdFib_.removePrefix(cd);
     cdFib_.insert(cd, next);
     st_.subscribe(fromFace, cd);
@@ -486,8 +470,8 @@ void CopssRouter::onFibAdd(NodeId fromFace, const FibAddPacket& pkt) {
   bool anyApplied = false;
   for (std::size_t i = 0; i < pkt.prefixes.size(); ++i) {
     const Name& cd = pkt.prefixes[i];
-    const std::uint64_t epoch = i < pkt.epochs.size() ? pkt.epochs[i] : 0;
-    if (epoch != 0 && epoch < epochSeen(cd)) {
+    const std::uint64_t epoch = pkt.epochs[i];
+    if (epoch < epochSeen(cd)) {
       // Stale announcement: a higher-epoch owner already claimed this prefix
       // (e.g. a crashed primary re-advertising after its standby took over).
       // The FIB keeps following the newer claim; the flood still continues
@@ -496,7 +480,7 @@ void CopssRouter::onFibAdd(NodeId fromFace, const FibAddPacket& pkt) {
       continue;
     }
     observeEpoch(cd, epoch);
-    if (epoch != 0 && claimEpoch(cd) != 0 && claimEpoch(cd) < epoch) {
+    if (claimEpoch(cd) != 0 && claimEpoch(cd) < epoch) {
       // Our own claim lost: atomically retire it (FIB + balancer window)
       // before installing the winner's direction.
       retireClaim(cd, fromFace, /*rejoinAsSubscriber=*/false);
@@ -630,8 +614,7 @@ void CopssRouter::onHeartbeat(NodeId fromFace, const PacketPtr& pkt) {
     if (hb.rp == watchedRp_ && !failedOver_) {
       lastHeartbeatAt_ = sim().now();
       watchedPrefixes_ = hb.prefixes;
-      watchedEpochs_ = hb.epochs;
-      for (std::size_t i = 0; i < hb.prefixes.size() && i < hb.epochs.size(); ++i) {
+      for (std::size_t i = 0; i < hb.prefixes.size(); ++i) {
         observeEpoch(hb.prefixes[i], hb.epochs[i]);
       }
     }
@@ -693,16 +676,9 @@ void CopssRouter::watchTick() {
     failedOver_ = true;
     ++failovers_;
     lastFailoverAt_ = sim().now();
-    // Claim one past the dead primary's beaconed epochs (and past anything
-    // else observed), so the takeover flood outranks any restart-time
-    // re-advertisement by the old primary.
-    std::vector<std::uint64_t> epochs;
-    epochs.reserve(watchedPrefixes_.size());
-    for (std::size_t i = 0; i < watchedPrefixes_.size(); ++i) {
-      const std::uint64_t beaconed = i < watchedEpochs_.size() ? watchedEpochs_[i] : 0;
-      epochs.push_back(std::max(beaconed + 1, nextEpochFor(watchedPrefixes_[i])));
-    }
-    assumeRp(watchedPrefixes_, epochs);
+    // The beacons' epochs were observed on arrival, so each claim lands one
+    // past the dead primary's last beaconed epoch (or past anything newer).
+    assumeRp(watchedPrefixes_);
   }
   const SimTime step = watchTimeout_ / 2 > 0 ? watchTimeout_ / 2 : 1;
   if (sim().now() + step <= watchUntil_) {
@@ -733,20 +709,9 @@ void CopssRouter::onCrash() {
   ++hbGen_;
   ++watchGen_;
   watchedPrefixes_.clear();
-  watchedEpochs_.clear();
   seenReclaims_.clear();
   lastHeartbeatAt_ = 0;
   failedOver_ = false;
-  if (opts_.epochStorageLoss) {
-    // Chaos: epoch storage rolled back. Forget every observed high-water
-    // mark and re-forge each held claim at epoch 1 via the forging overload
-    // — exactly the split-brain input the EpochMonotonic audit exists to
-    // catch.
-    epochSeen_.clear();
-    const auto claims = rpPrefixes();
-    const std::vector<Name> held(claims.begin(), claims.end());
-    for (const Name& p : held) becomeRp(p, 1);
-  }
 }
 
 void CopssRouter::onRestart() {
@@ -763,7 +728,7 @@ void CopssRouter::onRestart() {
   // ask the neighbours whether anyone observed a higher epoch while we were
   // down (a standby assuming our role floods epoch+1). A neighbour that did
   // demotes us one hop back; silence means the claims stand.
-  if (opts_.epochReconcile && !rpEpochs_.empty()) {
+  if (!rpEpochs_.empty()) {
     const auto held = rpPrefixes();
     std::vector<Name> prefixes(held.begin(), held.end());
     std::vector<std::uint64_t> epochs;
@@ -775,7 +740,7 @@ void CopssRouter::onRestart() {
     const std::uint64_t nonce = nextNonce_++;
     seenReclaims_[nonce] = kInvalidNode;
     const auto reclaim = makePacket<RpReclaimPacket>(
-        id(), std::move(prefixes), std::move(epochs), opts_.reclaimTtl, nonce);
+        id(), std::move(prefixes), std::move(epochs), kReclaimTtl, nonce);
     for (NodeId nb : network().topology().neighbors(id())) {
       if (!hostFaces_.count(nb)) {
         send(nb, reclaim);
@@ -817,14 +782,14 @@ void CopssRouter::onReclaim(NodeId fromFace, const RpReclaimPacket& pkt) {
   // probe carries a TTL). Answer with a demote for every prefix where we
   // observed a higher epoch than the claimant persisted; otherwise record
   // the (still current) claim.
-  if (pkt.nonce != 0 && !seenReclaims_.emplace(pkt.nonce, fromFace).second) {
+  if (!seenReclaims_.emplace(pkt.nonce, fromFace).second) {
     return;  // duplicate relay (or our own probe looped back): drop
   }
   std::vector<Name> stale;
   std::vector<std::uint64_t> staleEpochs;
   for (std::size_t i = 0; i < pkt.prefixes.size(); ++i) {
     const Name& prefix = pkt.prefixes[i];
-    const std::uint64_t claimed = i < pkt.epochs.size() ? pkt.epochs[i] : 0;
+    const std::uint64_t claimed = pkt.epochs[i];
     const std::uint64_t seen = epochSeen(prefix);
     if (seen > claimed) {
       stale.push_back(prefix);
@@ -848,7 +813,7 @@ void CopssRouter::onReclaim(NodeId fromFace, const RpReclaimPacket& pkt) {
   // actually witnessed the takeover — a few hops behind a healed partition —
   // gets to answer too. Fresh copies (a Packet is immutable once sent), one
   // hop less of budget, duplicate-suppressed above by nonce.
-  if (pkt.ttl > 0 && pkt.nonce != 0) {
+  if (pkt.ttl > 0) {
     for (NodeId nb : network().topology().neighbors(id())) {
       if (nb == fromFace || hostFaces_.count(nb)) continue;
       send(nb, makePacket<RpReclaimPacket>(pkt.origin, pkt.prefixes, pkt.epochs,
@@ -861,7 +826,7 @@ void CopssRouter::onReclaim(NodeId fromFace, const RpReclaimPacket& pkt) {
 void CopssRouter::onDemote(NodeId fromFace, const RpDemotePacket& pkt) {
   for (std::size_t i = 0; i < pkt.prefixes.size(); ++i) {
     const Name& prefix = pkt.prefixes[i];
-    const std::uint64_t epoch = i < pkt.epochs.size() ? pkt.epochs[i] : 0;
+    const std::uint64_t epoch = pkt.epochs[i];
     const std::uint64_t seenBefore = epochSeen(prefix);
     observeEpoch(prefix, epoch);
     // Idempotent: several neighbours may each answer our reclaim; only the
@@ -883,13 +848,10 @@ void CopssRouter::onDemote(NodeId fromFace, const RpDemotePacket& pkt) {
   }
   // Answer to a relayed probe: ride the recorded reverse path back toward
   // the claimant (kInvalidNode marks the claimant itself — stop there).
-  if (pkt.nonce != 0) {
-    const auto it = seenReclaims_.find(pkt.nonce);
-    if (it != seenReclaims_.end() && it->second != kInvalidNode &&
-        it->second != fromFace) {
-      send(it->second, makePacket<RpDemotePacket>(pkt.origin, pkt.prefixes,
-                                                  pkt.epochs, pkt.nonce));
-    }
+  const auto it = seenReclaims_.find(pkt.nonce);
+  if (it != seenReclaims_.end() && it->second != kInvalidNode && it->second != fromFace) {
+    send(it->second,
+         makePacket<RpDemotePacket>(pkt.origin, pkt.prefixes, pkt.epochs, pkt.nonce));
   }
 }
 

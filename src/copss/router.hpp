@@ -40,25 +40,14 @@ class CopssRouter : public Node {
     // Dynamic RP balancing (Section IV-B).
     bool autoBalance = false;
     RpLoadBalancer::Options balance;
-    // Epoch reconciliation on restart: ask the neighbours whether the
-    // persisted RP claims are still current and accept demotion if a higher
-    // epoch owns them now. Off reproduces the pre-epoch split-brain (a
-    // restarted RP silently re-advertises) for regression tests.
-    bool epochReconcile = true;
-    // Forwarding budget for the restart reclaim probe. 0: the probe stops at
-    // the direct neighbours (legacy) — behind a healed partition those may be
-    // as stale as the claimant, so split-brain persists until FIB traffic
-    // happens to cross. N > 0: routers relay fresh copies N hops further
-    // (duplicate-suppressed per nonce) and route answering demotes back
-    // along the reverse path, so convergence needs no data-plane luck.
-    std::uint32_t reclaimTtl = 2;
-    // Chaos knob: the RP's epoch storage rolls back on crash — the restarted
-    // node forgets its high-water mark and re-claims every held prefix at
-    // epoch 1, as if the counter lived on storage that was restored from an
-    // old backup. The EpochMonotonic audit must flag the regression (unless
-    // epochReconcile talks the node back up to a current epoch first).
-    bool epochStorageLoss = false;
   };
+
+  // Forwarding budget of the restart reclaim probe: routers relay fresh
+  // copies this many hops past the claimant's neighbours (duplicate-
+  // suppressed per nonce) and route answering demotes back along the reverse
+  // path. Behind a healed partition the direct neighbours may be as stale as
+  // the claimant, so a one-hop probe would leave the split brain standing.
+  static constexpr std::uint32_t kReclaimTtl = 2;
 
   CopssRouter(NodeId id, Network& net) : CopssRouter(id, net, Options{}) {}
   CopssRouter(NodeId id, Network& net, Options opts);
@@ -145,14 +134,11 @@ class CopssRouter : public Node {
   // fall into the void, harmlessly). Publications routed to the dead RP
   // during the outage are lost — the recovery bounds the loss window, it
   // cannot undo it (publishers using reliable mode retransmit into the new
-  // tree, closing the gap end-to-end).
+  // tree, closing the gap end-to-end). Each prefix is claimed one past the
+  // highest epoch observed for it, a standby's beacons included, so the
+  // takeover flood outranks any restart-time re-advertisement by the old
+  // primary.
   void assumeRp(const std::vector<Name>& prefixes);
-  // Explicit-epoch takeover: claim each prefix at the given epoch. The
-  // standby's watchTick passes one past the crashed RP's last-beaconed
-  // epochs, so the takeover flood outranks any restart-time
-  // re-advertisement by the old primary.
-  void assumeRp(const std::vector<Name>& prefixes,
-                const std::vector<std::uint64_t>& claimEpochs);
 
   // ---- RP liveness / automatic failover ----
   // As an RP: beacon the served prefixes to `standby` every `interval`
@@ -280,7 +266,6 @@ class CopssRouter : public Node {
   SimTime watchUntil_ = 0;
   SimTime lastHeartbeatAt_ = 0;
   std::vector<Name> watchedPrefixes_;
-  std::vector<std::uint64_t> watchedEpochs_;  // parallel to watchedPrefixes_
   bool failedOver_ = false;
   // Generation counters: a crash bumps them, so tick closures scheduled
   // before the crash compare their captured generation and bail instead of

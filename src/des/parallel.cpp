@@ -17,6 +17,7 @@ ParallelSimulator::ParallelSimulator(Simulator& globalLane, Options opts)
   }
   outbound_.resize(opts.workers * opts.workers);
   mergeByDst_.resize(opts.workers);
+  errors_.resize(opts.workers);
   threads_.reserve(opts.workers - 1);
   for (std::size_t i = 1; i < opts.workers; ++i) {
     threads_.emplace_back([this, i] { workerLoop(i); });
@@ -79,15 +80,13 @@ void ParallelSimulator::runRounds(std::size_t self) {
     try {
       shards_[self]->runUntilBefore(window_);
     } catch (...) {
-      MutexLock lk(errorMu_);
-      if (!firstError_) firstError_ = std::current_exception();
+      if (!errors_[self]) errors_[self] = std::current_exception();
     }
     barrierArrive(false);  // every shard done executing; outbound buffers final
     try {
       mergeInbound(self);
     } catch (...) {
-      MutexLock lk(errorMu_);
-      if (!firstError_) firstError_ = std::current_exception();
+      if (!errors_[self]) errors_[self] = std::current_exception();
     }
     barrierArrive(true);  // every merge done; the next round is planned
   } while (moreRounds_);
@@ -118,11 +117,15 @@ void ParallelSimulator::mergeInbound(std::size_t dst) {
   for (std::size_t src = 0; src < k; ++src) outbound_[src * k + dst].clear();
 }
 
-ParallelSimulator::Step ParallelSimulator::plan() {
-  {
-    MutexLock lk(errorMu_);
-    if (firstError_) return Step::Done;
+std::exception_ptr ParallelSimulator::firstError() const {
+  for (const std::exception_ptr& e : errors_) {
+    if (e) return e;
   }
+  return nullptr;
+}
+
+ParallelSimulator::Step ParallelSimulator::plan() {
+  if (firstError()) return Step::Done;
   const SimTime g = global_.nextEventWhen();
   SimTime sMin = Simulator::kNoEvent;
   for (auto& s : shards_) sMin = std::min(sMin, s->nextEventWhen());
@@ -163,10 +166,7 @@ std::uint64_t ParallelSimulator::run(SimTime until) {
     cv_.notify_all();
     runRounds(0);  // the calling thread is worker 0
   }
-  {
-    MutexLock lk(errorMu_);
-    if (firstError_) std::rethrow_exception(firstError_);
-  }
+  if (const std::exception_ptr e = firstError()) std::rethrow_exception(e);
   // plan() found no event at or before `until` on any lane. A shard's last
   // round or advance left its frontier short of that; this run(until)
   // executes nothing and moves it up to `until`.

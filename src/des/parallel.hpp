@@ -146,6 +146,8 @@ class ParallelSimulator {
   // next one before it releases the others.
   void barrierArrive(bool planning);
   Step plan();
+  // The lowest-numbered shard's recorded exception, or null.
+  std::exception_ptr firstError() const;
 
   Simulator& global_;
   SimTime lookahead_;
@@ -178,8 +180,11 @@ class ParallelSimulator {
   std::atomic<std::uint32_t> barrierArrived_{0};
   std::atomic<std::uint32_t> barrierGen_{0};
   std::vector<std::thread> threads_;  // workers 1..k-1
-  std::exception_ptr firstError_ GCOPSS_GUARDED_BY(errorMu_);
-  Mutex errorMu_;
+  // The first exception each shard threw, written only by its own worker;
+  // the round barriers order the planner's reads. run() rethrows the
+  // lowest-numbered shard's, so a failed run reports the same error
+  // whatever the thread timing.
+  GCOPSS_SHARD_CONFINED std::vector<std::exception_ptr> errors_;
   std::uint64_t rounds_ = 0;  // written by each round's last arriver
   std::uint64_t globalPhases_ = 0;
 

@@ -97,8 +97,11 @@ std::map<Name, double> traceWeights(const trace::Trace& trace) {
   return w;
 }
 
+// Points in RunSummary::series, the down-sampled Fig. 6-style latency trace.
+constexpr std::size_t kSeriesPoints = 60;
+
 void fillLatencySummary(RunSummary& out, const metrics::LatencyRecorder& lat,
-                        std::size_t seriesPoints, std::size_t cdfPoints) {
+                        std::size_t cdfPoints) {
   const auto& s = lat.samples();
   out.deliveries = lat.deliveries();
   out.meanMs = s.mean();
@@ -106,7 +109,7 @@ void fillLatencySummary(RunSummary& out, const metrics::LatencyRecorder& lat,
   out.p95Ms = s.percentile(0.95);
   out.p99Ms = s.percentile(0.99);
   out.maxMs = s.max();
-  out.series = lat.series(seriesPoints);
+  out.series = lat.series(kSeriesPoints);
   out.latencyCdfMs = s.cdfPoints(cdfPoints);
 }
 
@@ -401,7 +404,7 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
   RunSummary out;
   out.label = cfg.hybrid ? "hybrid-G-COPSS" : (cfg.twoStep ? "G-COPSS (two-step)" : "G-COPSS");
   for (std::size_t i = 1; i < latency.size(); ++i) latency[0].mergeFrom(latency[i]);
-  fillLatencySummary(out, latency[0], cfg.seriesPoints, cfg.cdfPoints);
+  fillLatencySummary(out, latency[0], cfg.cdfPoints);
   out.networkGB = toGB(net.totalLinkBytes());
   out.linkPackets = net.totalLinkPackets();
   out.drops = net.totalDrops();
@@ -481,7 +484,7 @@ RunSummary runIpServerTrace(const game::GameMap& map, const trace::Trace& trace,
 
   RunSummary out;
   out.label = "IP server";
-  fillLatencySummary(out, latency, cfg.seriesPoints, cfg.cdfPoints);
+  fillLatencySummary(out, latency, cfg.cdfPoints);
   out.networkGB = toGB(net.totalLinkBytes());
   out.linkPackets = net.totalLinkPackets();
   out.drops = net.totalDrops();
@@ -560,7 +563,7 @@ RunSummary runNdnMicrobench(const game::GameMap& map, const trace::Trace& trace,
 
   RunSummary out;
   out.label = "NDN";
-  fillLatencySummary(out, latency, /*seriesPoints=*/60, cfg.cdfPoints);
+  fillLatencySummary(out, latency, cfg.cdfPoints);
   out.networkGB = toGB(net.totalLinkBytes());
   out.linkPackets = net.totalLinkPackets();
   out.drops = net.totalDrops();

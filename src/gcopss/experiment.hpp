@@ -116,7 +116,6 @@ struct GCopssRunConfig {
   // serial engine on every workload the tests and benches compare. Fault
   // plans used with threads > 0 must be built withIndependentStreams().
   std::size_t threads = 0;
-  std::size_t seriesPoints = 60;
   std::size_t cdfPoints = 50;
 
   // Observability hooks. `onWorldReady` fires once the world is fully wired
@@ -145,7 +144,6 @@ struct IpServerRunConfig {
   std::size_t numServers = 3;
   std::uint64_t seed = 1;
   SimTime warmup = ms(500);
-  std::size_t seriesPoints = 60;
   std::size_t cdfPoints = 50;
   // Finite-bandwidth links (see GCopssRunConfig). serverUplinkBps > 0
   // additionally pins each server's attach link — the saturated-uplink

@@ -14,6 +14,9 @@ namespace gcopss::gc {
 
 namespace {
 
+// Router Content Store freshness: cached snapshot Data ages out fast in games.
+constexpr SimTime kCsFreshness = ms(100);
+
 // Progress of one in-flight move's snapshot download.
 struct MoveContext {
   const game::Move* move = nullptr;
@@ -70,7 +73,7 @@ MovementSummary runMovementExperiment(const game::GameMap& map,
   for (const Name& cd : map.leafCds()) net.names().intern(cd);
 
   copss::CopssRouter::Options ropts;
-  ropts.ndn.csFreshness = cfg.csFreshness;
+  ropts.ndn.csFreshness = kCsFreshness;
   for (NodeId r : routerIds) net.emplaceNode<copss::CopssRouter>(r, net, ropts);
 
   // Serving partition: contiguous slices of the leaf-CD list per broker.

@@ -26,7 +26,6 @@ struct MovementRunConfig {
   std::size_t numRps = 3;
   std::uint64_t seed = 1;
   SimTime warmup = ms(500);
-  SimTime csFreshness = ms(100);  // router caches age out fast in games
   SimTime safetyCap = 2 * kHour;
 };
 

@@ -28,17 +28,19 @@ class Forwarder {
     std::function<void(const DataPacketPtr&)> localData;
   };
 
+  // Content Store entries (LRU beyond this) and PIT entry lifetime.
+  static constexpr std::size_t kCsCapacity = 4096;
+  static constexpr SimTime kPitLifetime = seconds(4);
+
   struct Options {
-    std::size_t csCapacity = 4096;
-    SimTime csFreshness = 0;
-    SimTime pitLifetime = seconds(4);
+    SimTime csFreshness = 0;  // 0: cached Data never ages out
   };
 
   // `names` is the world's NameTable, which the FIB keys its routes by.
   Forwarder(Hooks hooks, Options opts, const std::function<SimTime()>& now,
             NameTable& names)
-      : hooks_(std::move(hooks)), fib_(names), cs_(opts.csCapacity, opts.csFreshness),
-        pit_(opts.pitLifetime), now_(now) {}
+      : hooks_(std::move(hooks)), fib_(names), cs_(kCsCapacity, opts.csFreshness),
+        pit_(kPitLifetime), now_(now) {}
 
   void onInterest(NodeId fromFace, const InterestPacketPtr& interest);
   void onData(NodeId fromFace, const DataPacketPtr& data);

@@ -57,7 +57,7 @@ void NdnGamePlayer::publishUpdate(const Name& cd, Bytes size, std::uint64_t seq)
 void NdnGamePlayer::produceSegment() {
   producerTimerRunning_ = false;
   if (pending_.empty()) return;
-  Bytes payload = opts_.segmentOverhead;
+  Bytes payload = kSegmentOverhead;
   for (const auto& e : pending_) payload += e.size;
   ++segSeq_;
   const Name name = prefixFor(playerIdx_).append("u").append(std::to_string(segSeq_));

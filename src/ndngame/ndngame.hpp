@@ -55,8 +55,9 @@ class NdnGamePlayer : public Node {
     SimTime accumulation = ms(100);      // update accumulation interval t
     SimTime rto = seconds(1);            // retransmission timeout
     SimTime rtoMax = seconds(8);
-    Bytes segmentOverhead = 16;
   };
+  // Header bytes of an UpdateSegment beyond its entries' payloads.
+  static constexpr Bytes kSegmentOverhead = 16;
 
   // Latency callback: (updateSeq, publishedAt, deliveredAt).
   using DeliveryCallback =

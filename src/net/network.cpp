@@ -42,7 +42,7 @@ const Simulator& Node::sim() const { return *shardSim_; }
 const SimParams& Node::params() const { return net_->params_; }
 
 Network::Network(Simulator& sim, Topology& topo, SimParams params)
-    : sim_(sim), topo_(topo), params_(params) {}
+    : sim_(sim), topo_(topo), params_(params), meters_(1) {}
 
 void Network::attach(std::unique_ptr<Node> node) {
   const auto idx = static_cast<std::size_t>(node->id());
@@ -68,48 +68,21 @@ bool Network::hasNode(NodeId id) const {
   return idx < nodes_.size() && nodes_[idx] != nullptr;
 }
 
-void Network::meterTx(Bytes size) {
+Network::LoadMeter& Network::meter() {
+  // Serial runs test par_ first and never read the thread-local.
   if (par_) {
     const std::size_t sh = ParallelSimulator::currentShard();
-    if (sh != ParallelSimulator::kNoShard) {
-      shardMeters_[sh].bytes += size;
-      ++shardMeters_[sh].pkts;
-      return;
-    }
+    if (sh != ParallelSimulator::kNoShard) return meters_[1 + sh];
   }
-  totalLinkBytes_ += size;
-  ++totalLinkPackets_;
-}
-
-void Network::meterDrop() {
-  if (par_) {
-    const std::size_t sh = ParallelSimulator::currentShard();
-    if (sh != ParallelSimulator::kNoShard) {
-      ++shardMeters_[sh].drops;
-      return;
-    }
-  }
-  ++totalDrops_;
-}
-
-void Network::meterQueueDrop() {
-  // A queue refusal is a drop (totalDrops) with its own reason counter.
-  if (par_) {
-    const std::size_t sh = ParallelSimulator::currentShard();
-    if (sh != ParallelSimulator::kNoShard) {
-      ++shardMeters_[sh].drops;
-      ++shardMeters_[sh].queueDrops;
-      return;
-    }
-  }
-  ++totalDrops_;
-  ++totalQueueDrops_;
+  return meters_[0];
 }
 
 void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
   const std::size_t li = topo_.linkIndexBetween(from, to);
   const Topology::Link& link = topo_.links()[li];
-  meterTx(pkt->size);
+  LoadMeter& m = meter();
+  m.bytes += pkt->size;
+  ++m.pkts;
   // `now` on the sender's lane: identical to sim_.now() when serial, and in
   // a parallel round the executing shard's clock (during a global phase all
   // lanes agree — ParallelSimulator lines them up first).
@@ -123,7 +96,7 @@ void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
   if (fault_) {
     const auto verdict = fault_->onTransmit(from, to, now);
     if (verdict.drop) {
-      meterDrop();
+      ++m.drops;
       if (observer_) observer_->onDrop(to, pkt, DropReason::WireFault, now);
       return;  // lost on the wire (random loss or down window)
     }
@@ -141,7 +114,9 @@ void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
     // The queue lives on the sender's lane, so it admits at `now`.
     const auto adm = faceQueues_[2 * li + (from == link.a ? 0 : 1)].admit(pkt->size);
     if (!adm.admitted) {
-      meterQueueDrop();
+      // A queue refusal is a drop with its own reason counter.
+      ++m.drops;
+      ++m.queueDrops;
       if (observer_) observer_->onDrop(to, pkt, DropReason::QueueDrop, now);
       return;
     }
@@ -183,10 +158,10 @@ void Network::enableLinkQueues(const LinkQueueConfig& cfg) {
   faceQueues_.clear();
   faceQueues_.reserve(topo_.links().size() * 2);
   for (const Topology::Link& l : topo_.links()) {
-    faceQueues_.emplace_back(l.a, l.b, l.bandwidthBps,
-                             makeQueueDiscipline(cfg, l.a, l.b), laneOf(l.a));
-    faceQueues_.emplace_back(l.b, l.a, l.bandwidthBps,
-                             makeQueueDiscipline(cfg, l.b, l.a), laneOf(l.b));
+    faceQueues_.emplace_back(l.a, l.b, l.bandwidthBps, cfg.capBytes, cfg.capPackets,
+                             laneOf(l.a));
+    faceQueues_.emplace_back(l.b, l.a, l.bandwidthBps, cfg.capBytes, cfg.capPackets,
+                             laneOf(l.b));
   }
 }
 
@@ -248,7 +223,7 @@ void Network::enableParallel(ParallelSimulator& psim) {
                               shardOf(l.a) == shardOf(l.b);
                      }) &&
          "no link shorter than the lookahead may join two shards");
-  shardMeters_.assign(k, ShardMeter{});
+  meters_.resize(1 + k);
   for (auto& n : nodes_) {
     if (n) n->shardSim_ = &laneOf(n->id());
   }
@@ -301,13 +276,13 @@ void Network::enqueueCpu(NodeId at, NodeId fromFace, PacketPtr pkt) {
   Simulator& lsim = *n.shardSim_;
   if (observer_) observer_->onCpuEnqueue(at, fromFace, pkt, lsim.now());
   if (!failed_.empty() && failed_.count(at)) {
-    meterDrop();
+    ++meter().drops;
     if (observer_) observer_->onDrop(at, pkt, DropReason::NodeFailed, lsim.now());
     return;  // crashed node: blackhole
   }
   const SimTime now = lsim.now();
   if (params_.dropBacklog > 0 && n.cpuBacklog() > params_.dropBacklog) {
-    meterDrop();
+    ++meter().drops;
     if (observer_) observer_->onDrop(at, pkt, DropReason::BufferFull, lsim.now());
     return;  // finite buffer overflow: packet lost
   }
@@ -316,7 +291,7 @@ void Network::enqueueCpu(NodeId at, NodeId fromFace, PacketPtr pkt) {
   n.cpuFreeAt_ = done;
   lsim.scheduleAt(done, [this, at, fromFace, p = std::move(pkt)]() mutable {
     if (!failed_.empty() && failed_.count(at)) {
-      meterDrop();
+      ++meter().drops;
       if (observer_) {
         observer_->onDrop(at, p, DropReason::CrashedQueued, node(at).shardSim_->now());
       }

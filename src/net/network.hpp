@@ -193,35 +193,31 @@ class Network {
   // shard from sequential context.
   Simulator& nodeSim(NodeId id) { return *node(id).shardSim_; }
 
-  // Aggregate load meters. In parallel runs the counters are kept per shard
-  // (summed here); only read them from sequential context.
+  // Aggregate load meters, summed over the per-context meters below; only
+  // read them from sequential context.
   Bytes totalLinkBytes() const { return sumMeters().bytes; }
   std::uint64_t totalLinkPackets() const { return sumMeters().pkts; }
   std::uint64_t totalDrops() const { return sumMeters().drops; }
   // Face-queue refusals only (also counted in totalDrops()).
   std::uint64_t totalQueueDrops() const { return sumMeters().queueDrops; }
   void resetLoadMeter() {
-    totalLinkBytes_ = 0;
-    totalLinkPackets_ = 0;
-    totalDrops_ = 0;
-    totalQueueDrops_ = 0;
-    for (auto& m : shardMeters_) m = ShardMeter{};
+    for (auto& m : meters_) m = LoadMeter{};
   }
 
  private:
   friend class Node;
 
-  // Cache-line-sized per-shard load meter: each worker bumps only its own
-  // slot during a round, so the hot path stays contention- and race-free.
-  struct alignas(64) ShardMeter {
+  // Cache-line-sized load meter: each worker bumps only its own shard's slot
+  // during a round, so the hot path stays contention- and race-free.
+  struct alignas(64) LoadMeter {
     Bytes bytes = 0;
     std::uint64_t pkts = 0;
     std::uint64_t drops = 0;
     std::uint64_t queueDrops = 0;
   };
-  ShardMeter sumMeters() const {
-    ShardMeter t{totalLinkBytes_, totalLinkPackets_, totalDrops_, totalQueueDrops_};
-    for (const auto& m : shardMeters_) {
+  LoadMeter sumMeters() const {
+    LoadMeter t;
+    for (const auto& m : meters_) {
       t.bytes += m.bytes;
       t.pkts += m.pkts;
       t.drops += m.drops;
@@ -229,9 +225,9 @@ class Network {
     }
     return t;
   }
-  void meterTx(Bytes size);
-  void meterDrop();
-  void meterQueueDrop();
+  // The meter of the calling context: its shard's inside a parallel round,
+  // the sequential one otherwise.
+  LoadMeter& meter();
   // Hands `pkt` to `to`'s CPU queue `after` from `now`.
   void deliver(Node& sender, NodeId to, const Topology::Link& link, SimTime now,
                SimTime after, PacketPtr pkt);
@@ -250,11 +246,9 @@ class Network {
   PacketObserver* observer_ = nullptr;
   ParallelSimulator* par_ = nullptr;
   std::vector<std::size_t> shardOf_;  // NodeId -> shard (parallel only)
-  std::vector<ShardMeter> shardMeters_;
-  Bytes totalLinkBytes_ = 0;
-  std::uint64_t totalLinkPackets_ = 0;
-  std::uint64_t totalDrops_ = 0;
-  std::uint64_t totalQueueDrops_ = 0;
+  // [0]: sequential context (serial runs, setup, global phases); [1 + s]:
+  // shard s's parallel rounds.
+  std::vector<LoadMeter> meters_;
   // Face queues, 2 per topology link, indexed 2*linkIdx + direction
   // (0 = link.a -> link.b). Built once by enableLinkQueues; each queue is
   // then mutated only by the lane owning its sending node, and its counters

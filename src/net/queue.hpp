@@ -4,11 +4,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/hash.hpp"
-#include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 #include "des/simulator.hpp"
@@ -19,8 +16,8 @@ namespace gcopss {
 // Finite-bandwidth links: every directed link owns a transmit ("face") queue
 // on its sending side. A packet admitted at time t starts serializing when
 // the face frees up and occupies it for size*8/bandwidth; the receiver sees
-// it one propagation delay after the last bit leaves. Admission is guarded by
-// a pluggable discipline (DropTail or RED below).
+// it one propagation delay after the last bit leaves. Admission is DropTail:
+// a packet that would overflow the face's byte or packet cap is dropped.
 //
 // Determinism contract (docs/ARCHITECTURE.md): all queueing happens on the
 // *sender's* side, before the packet crosses a shard boundary, so a posted
@@ -31,50 +28,19 @@ namespace gcopss {
 // frontier, never by an event), so the hot path needs no locks and
 // serial-vs-parallel runs stay bit-identical.
 
-// Which admission discipline guards a face queue.
-enum class QueueKind : std::uint8_t {
-  DropTail,  // admit until a byte or packet cap is hit
-  Red,       // Random Early Detection over the EWMA byte occupancy
-};
-
 // Network-wide face-queue configuration (Network::enableLinkQueues). Default
 // is disabled: the legacy transmit path (fixed serialization delay, no
 // occupancy, no queue drops) is byte-for-byte unchanged.
 struct LinkQueueConfig {
   bool enabled = false;
-  QueueKind kind = QueueKind::DropTail;
   Bytes capBytes = 64 * 1024;     // hard byte cap per face
   std::size_t capPackets = 256;   // hard packet cap per face
-
-  // RED knobs. Thresholds are fractions of capBytes over the EWMA average
-  // occupancy: below redMinFill always admit, above redMaxFill always drop,
-  // in between drop with probability ramping linearly up to redMaxProb.
-  double redMinFill = 0.25;
-  double redMaxFill = 0.75;
-  double redMaxProb = 0.10;
-  double redWeight = 0.2;  // EWMA weight of the instantaneous occupancy
-
-  // Seed for RED's per-face RNG lanes. Mirrors the
-  // FaultPlan::withIndependentStreams idiom: each directed link draws from
-  // its own substream seeded by (seed, from, to), so drop decisions depend
-  // only on that face's own traffic order — which the deterministic merge
-  // preserves at any thread count.
-  std::uint64_t seed = 1;
 
   static LinkQueueConfig dropTail(Bytes capBytes, std::size_t capPackets = 256) {
     LinkQueueConfig c;
     c.enabled = true;
-    c.kind = QueueKind::DropTail;
     c.capBytes = capBytes;
     c.capPackets = capPackets;
-    return c;
-  }
-  static LinkQueueConfig red(Bytes capBytes, std::uint64_t seed = 1) {
-    LinkQueueConfig c;
-    c.enabled = true;
-    c.kind = QueueKind::Red;
-    c.capBytes = capBytes;
-    c.seed = seed;
     return c;
   }
 };
@@ -94,89 +60,24 @@ struct FaceQueueStats {
   SimTime sojournSum = 0;  // over admitted packets; mean = sojournSum/enqueued
 };
 
-// Admission policy of one face queue. Called once per arriving packet, in
-// DES order on the sending node's lane (implementations may keep state).
-class QueueDiscipline {
- public:
-  virtual ~QueueDiscipline() = default;
-  // True = admit the packet of `size` into a queue currently holding `q`.
-  virtual bool admit(const FaceQueueStats& q, Bytes size) = 0;
-};
-
-// Admit until the byte or packet cap would be exceeded, then drop.
-class DropTailDiscipline final : public QueueDiscipline {
- public:
-  DropTailDiscipline(Bytes capBytes, std::size_t capPackets)
-      : capBytes_(capBytes), capPackets_(capPackets) {}
-  GCOPSS_HOT bool admit(const FaceQueueStats& q, Bytes size) override {
-    return q.bytesQueued + size <= capBytes_ && q.packetsQueued + 1 <= capPackets_;
-  }
-
- private:
-  Bytes capBytes_;
-  std::size_t capPackets_;
-};
-
-// Random Early Detection (Floyd & Jacobson '93, simplified): track an EWMA
-// of the byte occupancy; admit below minBytes, drop above maxBytes, and in
-// between drop with probability ramping linearly to maxProb. The byte and
-// packet caps stay as hard physical limits. Every random decision comes from
-// this face's own seeded lane, so verdicts are a pure function of the face's
-// arrival sequence (deterministic at any thread count).
-class RedDiscipline final : public QueueDiscipline {
- public:
-  RedDiscipline(const LinkQueueConfig& cfg, std::uint64_t laneSeed)
-      : capBytes_(cfg.capBytes),
-        capPackets_(cfg.capPackets),
-        minBytes_(cfg.redMinFill * static_cast<double>(cfg.capBytes)),
-        maxBytes_(cfg.redMaxFill * static_cast<double>(cfg.capBytes)),
-        maxProb_(cfg.redMaxProb),
-        weight_(cfg.redWeight),
-        rng_(laneSeed) {
-    assert(minBytes_ < maxBytes_ && "redMinFill must be below redMaxFill");
-  }
-
-  GCOPSS_HOT bool admit(const FaceQueueStats& q, Bytes size) override {
-    avg_ = (1.0 - weight_) * avg_ + weight_ * static_cast<double>(q.bytesQueued);
-    if (q.bytesQueued + size > capBytes_ || q.packetsQueued + 1 > capPackets_) {
-      return false;  // physical buffer full: forced tail drop
-    }
-    if (avg_ < minBytes_) return true;
-    if (avg_ >= maxBytes_) return false;
-    const double p = maxProb_ * (avg_ - minBytes_) / (maxBytes_ - minBytes_);
-    return !rng_.bernoulli(p);
-  }
-
-  double avgBytes() const { return avg_; }
-
- private:
-  Bytes capBytes_;
-  std::size_t capPackets_;
-  double minBytes_;
-  double maxBytes_;
-  double maxProb_;
-  double weight_;
-  double avg_ = 0.0;
-  Rng rng_;
-};
-
-// One directed link's transmit queue: lazy serialization bookkeeping
-// (`freeAt_` = when the face's last admitted bit leaves) plus occupancy
-// stats. A packet occupies the queue from admission until its last bit
-// leaves at txDone; no event marks the departure. The queue keys it like an
-// event on its lane (the sending node's Simulator) — (txDone, a seq
-// reserved at admission) — and retires the packets keyed below the lane's
-// frontier before every admission and every stats() read. So a packet
-// leaves exactly where a departure event scheduled at admission would have
-// run, ties included (see Simulator::frontier).
+// One directed link's transmit queue: byte and packet caps, lazy
+// serialization bookkeeping (`freeAt_` = when the face's last admitted bit
+// leaves) and occupancy stats. A packet occupies the queue from admission
+// until its last bit leaves at txDone; no event marks the departure. The
+// queue keys it like an event on its lane (the sending node's Simulator) —
+// (txDone, a seq reserved at admission) — and retires the packets keyed
+// below the lane's frontier before every admission and every stats() read.
+// So a packet leaves exactly where a departure event scheduled at admission
+// would have run, ties included (see Simulator::frontier).
 class FaceQueue {
  public:
-  FaceQueue(NodeId from, NodeId to, double bandwidthBps,
-            std::unique_ptr<QueueDiscipline> disc, Simulator& lane)
+  FaceQueue(NodeId from, NodeId to, double bandwidthBps, Bytes capBytes,
+            std::size_t capPackets, Simulator& lane)
       : from_(from),
         to_(to),
         bandwidthBps_(bandwidthBps),
-        disc_(std::move(disc)),
+        capBytes_(capBytes),
+        capPackets_(capPackets),
         lane_(&lane) {}
 
   struct Admission {
@@ -184,10 +85,11 @@ class FaceQueue {
     SimTime txDone = 0;  // when the last bit leaves the sender (valid if admitted)
   };
 
-  // Offer a packet of `size` to the face at the lane's now().
+  // Offer a packet of `size` to the face at the lane's now(); refused if it
+  // would overflow the byte or the packet cap.
   GCOPSS_HOT Admission admit(Bytes size) {
     retire();
-    if (!disc_->admit(stats_, size)) {
+    if (stats_.bytesQueued + size > capBytes_ || stats_.packetsQueued + 1 > capPackets_) {
       ++stats_.dropped;
       return {};
     }
@@ -256,7 +158,7 @@ class FaceQueue {
   }
 
   // GCOPSS_COLD: the ring doubles only when the face's occupancy passes its
-  // previous peak (and the discipline caps occupancy at capPackets), so a
+  // previous peak (and admission caps occupancy at capPackets), so a
   // face stops allocating once it has seen its peak.
   GCOPSS_COLD void grow() {
     // Full: rotate the oldest record to the front, then double.
@@ -269,7 +171,8 @@ class FaceQueue {
   NodeId from_;
   NodeId to_;
   double bandwidthBps_;
-  std::unique_ptr<QueueDiscipline> disc_;
+  Bytes capBytes_;
+  std::size_t capPackets_;
   Simulator* lane_;
   SimTime freeAt_ = 0;
   // Admitted packets not yet departed, oldest first: `stats_.packetsQueued`
@@ -295,19 +198,5 @@ struct QueueAggregate {
   }
   double maxSojournMs() const { return toMs(maxSojourn); }
 };
-
-// Per-face RED lane seed: a pure function of (config seed, direction) —
-// byte-compatible with FaultInjector::prepareLanes' substream derivation.
-inline std::uint64_t faceLaneSeed(std::uint64_t seed, NodeId from, NodeId to) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-      static_cast<std::uint32_t>(to);
-  return mix64(seed ^ mix64(key ^ 0x9e3779b97f4a7c15ULL));
-}
-
-// Build the configured discipline for the (from -> to) face. RED gets its
-// own per-direction RNG lane; DropTail is stateless.
-std::unique_ptr<QueueDiscipline> makeQueueDiscipline(const LinkQueueConfig& cfg,
-                                                     NodeId from, NodeId to);
 
 }  // namespace gcopss

@@ -8,6 +8,12 @@ namespace gcopss {
 
 namespace {
 
+// Dabek et al.'s adaptation gains: ce for the error estimate, cc for the
+// coordinate step. Every node starts at full uncertainty.
+constexpr double kCe = 0.25;
+constexpr double kCc = 0.25;
+constexpr double kInitialError = 1.0;
+
 double planarNorm(const Coordinate& a, const Coordinate& b) {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;
@@ -16,9 +22,8 @@ double planarNorm(const Coordinate& a, const Coordinate& b) {
 
 }  // namespace
 
-VivaldiSystem::VivaldiSystem(std::size_t nodeCount, Options opts)
-    : opts_(opts), coords_(nodeCount), errors_(nodeCount, opts.initialError),
-      rng_(opts.seed) {}
+VivaldiSystem::VivaldiSystem(std::size_t nodeCount, std::uint64_t seed)
+    : coords_(nodeCount), errors_(nodeCount, kInitialError), rng_(seed) {}
 
 double VivaldiSystem::predict(std::size_t i, std::size_t j) const {
   const Coordinate& a = coords_.at(i);
@@ -36,8 +41,8 @@ void VivaldiSystem::observe(std::size_t i, std::size_t j, double rttMs) {
   const double w = ei / (ei + ej);            // confidence weight
   const double dist = predict(i, j);
   const double es = std::abs(dist - rttMs) / rttMs;  // relative sample error
-  ei = es * opts_.ce * w + ei * (1.0 - opts_.ce * w);
-  const double delta = opts_.cc * w;
+  ei = es * kCe * w + ei * (1.0 - kCe * w);
+  const double delta = kCc * w;
 
   // Unit vector from j to i in the plane; random direction when coincident.
   double ux = xi.x - xj.x;
@@ -60,10 +65,7 @@ void VivaldiSystem::observe(std::size_t i, std::size_t j, double rttMs) {
 
 VivaldiSystem embedTopology(const Topology& topo, const std::vector<NodeId>& nodes,
                             Rng& rng, std::size_t rounds, std::size_t peersPerRound) {
-  VivaldiSystem vs(nodes.size(), VivaldiSystem::Options{.ce = 0.25,
-                                                        .cc = 0.25,
-                                                        .initialError = 1.0,
-                                                        .seed = rng.next()});
+  VivaldiSystem vs(nodes.size(), rng.next());
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       for (std::size_t k = 0; k < peersPerRound; ++k) {

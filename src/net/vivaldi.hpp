@@ -21,15 +21,8 @@ struct Coordinate {
 
 class VivaldiSystem {
  public:
-  struct Options {
-    double ce = 0.25;          // error adaptation gain
-    double cc = 0.25;          // coordinate adaptation gain
-    double initialError = 1.0;
-    std::uint64_t seed = 1;
-  };
-
-  VivaldiSystem(std::size_t nodeCount, Options opts);
-  explicit VivaldiSystem(std::size_t nodeCount) : VivaldiSystem(nodeCount, Options{}) {}
+  // `seed` drives the random push apart of coincident coordinates.
+  VivaldiSystem(std::size_t nodeCount, std::uint64_t seed);
 
   // Node i measured `rttMs` to node j and adjusts its own coordinate using
   // j's current coordinate and confidence.
@@ -43,7 +36,6 @@ class VivaldiSystem {
   std::size_t size() const { return coords_.size(); }
 
  private:
-  Options opts_;
   std::vector<Coordinate> coords_;
   std::vector<double> errors_;
   Rng rng_;

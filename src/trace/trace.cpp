@@ -12,6 +12,13 @@ using game::ObjectDatabase;
 using game::ObjectId;
 using game::Position;
 
+namespace {
+
+// Lognormal sigma of the per-player publish rates (Fig. 3c's heavy tail).
+constexpr double kRateSigma = 1.0;
+
+}  // namespace
+
 std::vector<Position> assignPlayersToAreas(const GameMap& map, Rng& rng,
                                            std::size_t players, std::size_t minPerArea,
                                            std::size_t maxPerArea) {
@@ -106,7 +113,7 @@ Trace generateCsTrace(const GameMap& map, const ObjectDatabase& db,
   std::vector<double> weight(cfg.players);
   double weightSum = 0.0;
   for (auto& w : weight) {
-    w = rng.lognormal(0.0, cfg.rateSigma);
+    w = rng.lognormal(0.0, kRateSigma);
     weightSum += w;
   }
   const double aggregateRate = 1.0 / static_cast<double>(cfg.meanInterArrival);  // per ns

@@ -57,7 +57,6 @@ struct CsTraceConfig {
   SimTime meanInterArrival = usF(2400);  // aggregate, sets the duration
   std::size_t playersPerAreaMin = 4;
   std::size_t playersPerAreaMax = 20;
-  double rateSigma = 1.0;  // lognormal sigma of per-player rates (Fig 3c tail)
   Bytes sizeMin = 50;
   Bytes sizeMax = 350;
 

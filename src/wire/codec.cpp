@@ -59,8 +59,8 @@ std::vector<Name> getNames(WireReader& r) {
 void putNode(WireWriter& w, NodeId n) { w.u32(static_cast<std::uint32_t>(n)); }
 NodeId getNode(WireReader& r) { return static_cast<NodeId>(r.u32()); }
 
-// Per-prefix ownership epochs (parallel to a preceding name list). An empty
-// vector encodes as count 0 — the unstamped-legacy representation.
+// Per-prefix ownership epochs, parallel to a preceding name list: exactly one
+// epoch per name, each at least 1 (deploy claims start at epoch 1).
 void putEpochs(WireWriter& w, const std::vector<std::uint64_t>& epochs) {
   w.varint(epochs.size());
   for (std::uint64_t e : epochs) w.u64(e);
@@ -68,12 +68,22 @@ void putEpochs(WireWriter& w, const std::vector<std::uint64_t>& epochs) {
 
 std::vector<std::uint64_t> getEpochs(WireReader& r, std::size_t nameCount) {
   const std::uint64_t count = r.varint();
-  if (count != 0 && count != nameCount) throw WireError("epoch/prefix count mismatch");
+  if (count != nameCount) throw WireError("epoch/prefix count mismatch");
   if (count > r.remaining() / 8) throw WireError("epoch count overruns input");
   std::vector<std::uint64_t> out;
   out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(r.u64());
+  for (std::uint64_t i = 0; i < count; ++i) {
+    out.push_back(r.u64());
+    if (out.back() == 0) throw WireError("epoch 0");
+  }
   return out;
+}
+
+// Reclaim/demote nonce: the claimant mints it non-zero.
+std::uint64_t getNonce(WireReader& r) {
+  const std::uint64_t nonce = r.u64();
+  if (nonce == 0) throw WireError("nonce 0");
+  return nonce;
 }
 
 void encodeInto(WireWriter& w, const Packet& packet);  // fwd (nested encap)
@@ -348,7 +358,7 @@ PacketPtr decodeBody(Tag tag, WireReader& r, std::size_t depth, const NameTable&
       auto epochs = getEpochs(r, prefixes.size());
       const std::uint64_t ttl = r.varint();
       if (ttl > kMaxReclaimTtl) throw WireError("reclaim ttl exceeds cap");
-      const std::uint64_t nonce = r.u64();
+      const std::uint64_t nonce = getNonce(r);
       return makePacket<copss::RpReclaimPacket>(origin, std::move(prefixes),
                                                 std::move(epochs),
                                                 static_cast<std::uint32_t>(ttl),
@@ -358,7 +368,7 @@ PacketPtr decodeBody(Tag tag, WireReader& r, std::size_t depth, const NameTable&
       const NodeId origin = getNode(r);
       auto prefixes = getNames(r);
       auto epochs = getEpochs(r, prefixes.size());
-      const std::uint64_t nonce = r.u64();
+      const std::uint64_t nonce = getNonce(r);
       return makePacket<copss::RpDemotePacket>(origin, std::move(prefixes),
                                                std::move(epochs), nonce);
     }

@@ -35,7 +35,10 @@ constexpr std::uint16_t kMagic = 0x47C0;  // "GC"
 // inner frame), so a truncated or over-long inner packet is rejected against
 // its own boundary instead of leaning on the outer frame's trailing-bytes
 // check. Tag 9 (FibRemove) was retired later within v3: no simulator ever
-// sent one, and decode rejects it as an unknown tag.
+// sent one, and decode rejects it as an unknown tag. Also within v3, decode
+// stopped accepting unstamped control packets, which no simulator sends:
+// FibAdd, RpHandoff, RpReclaim and RpDemote carry exactly one epoch >= 1 per
+// name, and a reclaim or demote nonce is never 0.
 constexpr std::uint8_t kVersion = 3;
 
 // Wire type tags (stable across versions; append-only: a retired tag's value

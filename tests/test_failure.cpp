@@ -131,49 +131,6 @@ TEST(FailureRecovery, RestartedPrimaryIsDemotedAfterStandbyTakeover) {
   EXPECT_TRUE(checker.ok()) << checker.reportText();
 }
 
-// The pre-epoch behavior, reproduced on demand: with the reconciliation
-// handshake disabled, the identical schedule leaves BOTH routers claiming the
-// root — the restarted primary silently trusts its persisted config. The
-// audit must flag the duplicate claim and the epoch regression.
-TEST(FailureRecovery, WithoutReconcileRestartSplitsOwnership) {
-  copss::CopssRouter::Options noReconcile;
-  noReconcile.epochReconcile = false;
-  LineWorld w(6, noReconcile, SimParams::largeScale(), /*ring=*/true);
-  w.expectViolations = true;
-  auto& checker = w.enableFullAudit();
-  w.singleRootRp(2);
-
-  FaultPlan plan;
-  plan.crash(w.routerIds[2], ms(200), ms(450));
-  w.net->applyFaultPlan(plan);
-
-  w.sim->scheduleAt(0, [&]() {
-    w.routers[2]->startRpHeartbeats(w.routerIds[4], ms(10), ms(600));
-    w.routers[4]->watchRpLiveness(w.routerIds[2], ms(25), ms(600));
-  });
-  // Two audits: the first establishes the epoch high-water mark (the
-  // standby's takeover at epoch 2), the second catches the revived primary
-  // still claiming below it.
-  w.sim->scheduleAt(ms(650), [&]() { checker.auditNow(); });
-  w.sim->scheduleAt(ms(700), [&]() { checker.auditNow(); });
-  w.sim->run();
-
-  // Split brain: two live claims on the root, nobody demoted.
-  EXPECT_TRUE(w.routers[2]->isRpFor(Name::parse("/1/1")));
-  EXPECT_TRUE(w.routers[4]->isRpFor(Name::parse("/1/1")));
-  EXPECT_EQ(w.routers[2]->reclaimsSent(), 0u);
-  EXPECT_EQ(w.routers[2]->demotions(), 0u);
-  EXPECT_FALSE(checker.ok()) << "the audit must catch the split brain";
-  bool duplicateClaim = false;
-  bool epochRegression = false;
-  for (const auto& v : checker.violations()) {
-    if (v.invariant == check::Invariant::PrefixFreeRp) duplicateClaim = true;
-    if (v.invariant == check::Invariant::EpochMonotonic) epochRegression = true;
-  }
-  EXPECT_TRUE(duplicateClaim) << checker.reportText();
-  EXPECT_TRUE(epochRegression) << checker.reportText();
-}
-
 TEST(FailureInjection, FailedHostSimplyStopsReceiving) {
   LineWorld w(3);
   w.singleRootRp(0);

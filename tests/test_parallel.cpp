@@ -262,6 +262,7 @@ TEST(ParallelDeterminism, DifferentSeedsDiverge) {
 struct SplitRun {
   TraceDigest digest;
   std::vector<SimTime> firstSplitAt;  // per router; -1 = never split
+  std::vector<Name> firstMoved;       // per router: first CD of its first split
   std::vector<std::uint64_t> splits;  // per router
   std::vector<std::size_t> shard;     // per router
 };
@@ -288,14 +289,18 @@ SplitRun runTwoHotRps(std::size_t threads, bool internCds = true) {
 
   SplitRun r;
   r.firstSplitAt.assign(w.routers.size(), -1);
+  r.firstMoved.assign(w.routers.size(), Name());
   r.splits.assign(w.routers.size(), 0);
   for (std::size_t i = 0; i < w.routers.size(); ++i) {
     r.shard.push_back(w.net->shardOf(w.routerIds[i]));
     // Fires on the splitting router's shard: each writes only its own slot.
     Simulator* sim = &w.net->nodeSim(w.routerIds[i]);
     SimTime* first = &r.firstSplitAt[i];
-    w.routers[i]->onRpSplit = [sim, first](NodeId, const std::vector<Name>&) {
-      if (*first < 0) *first = sim->now();
+    Name* moved = &r.firstMoved[i];
+    w.routers[i]->onRpSplit = [sim, first, moved](NodeId, const std::vector<Name>& cds) {
+      if (*first >= 0) return;
+      *first = sim->now();
+      *moved = cds.front();
     };
   }
   foldDeliveries(w, r.digest);
@@ -341,13 +346,21 @@ TEST(ParallelDeterminism, AutoBalanceSplitsIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminism, SplitRoutingAnUninternedCdOnAWorkerLaneThrows) {
   // Without setup interning the first split would grow the world's
-  // NameTable inside a round, racing the other shard's lookups.
+  // NameTable inside a round, racing the other shard's lookups. Both RPs
+  // split in one round, on different shards, and each throws; the run
+  // reports the lower shard's error whatever the thread timing. That
+  // split moves the same CDs as in the interned run.
+  const SplitRun interned = runTwoHotRps(2);
+  ASSERT_NE(interned.shard[1], interned.shard[4]);
+  const std::size_t lower = interned.shard[1] < interned.shard[4] ? 1 : 4;
+  const std::string expected = "route for " + interned.firstMoved[lower].toString() +
+                               " added inside a parallel round, but the world never "
+                               "interned that prefix: intern it at setup";
   try {
     runTwoHotRps(2, /*internCds=*/false);
     ADD_FAILURE() << "the split routed an uninterned CD inside a round";
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("inside a parallel round"), std::string::npos)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()), expected);
   }
 }
 

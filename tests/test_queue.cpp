@@ -15,87 +15,36 @@ namespace gcopss::test {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Discipline units: DropTail caps, RED ramp, per-face seeded lanes.
-// ---------------------------------------------------------------------------
-
-TEST(DropTail, ByteCapRefusesTheOverflowingPacket) {
-  DropTailDiscipline d(/*capBytes=*/1000, /*capPackets=*/100);
-  FaceQueueStats q;
-  q.bytesQueued = 900;
-  q.packetsQueued = 3;
-  EXPECT_TRUE(d.admit(q, 100));   // lands exactly on the cap
-  EXPECT_FALSE(d.admit(q, 101));  // one byte over
-}
-
-TEST(DropTail, PacketCapRefusesIndependentlyOfBytes) {
-  DropTailDiscipline d(/*capBytes=*/1 << 20, /*capPackets=*/4);
-  FaceQueueStats q;
-  q.bytesQueued = 10;
-  q.packetsQueued = 4;
-  EXPECT_FALSE(d.admit(q, 1));
-  q.packetsQueued = 3;
-  EXPECT_TRUE(d.admit(q, 1));
-}
-
-// Drive the EWMA to a fixed occupancy, then measure the refusal rate over a
-// long draw sequence. The seed is fixed, so the whole measurement is exact.
-std::size_t redDropsAtOccupancy(Bytes occupancy, std::uint64_t laneSeed) {
-  LinkQueueConfig cfg = LinkQueueConfig::red(/*capBytes=*/10000);
-  RedDiscipline d(cfg, laneSeed);
-  FaceQueueStats q;
-  q.bytesQueued = occupancy;
-  q.packetsQueued = 1;
-  // Warm the EWMA to within a hair of `occupancy` before counting.
-  for (int i = 0; i < 200; ++i) (void)d.admit(q, 1);
-  std::size_t drops = 0;
-  for (int i = 0; i < 2000; ++i) {
-    if (!d.admit(q, 1)) ++drops;
-  }
-  return drops;
-}
-
-TEST(Red, AdmitsEverythingBelowMinFill) {
-  // cap 10000, redMinFill 0.25 -> always admit while the EWMA is under 2500.
-  EXPECT_EQ(redDropsAtOccupancy(2000, 7), 0u);
-}
-
-TEST(Red, DropsEverythingAboveMaxFill) {
-  // redMaxFill 0.75 -> EWMA at 8000 refuses every packet.
-  EXPECT_EQ(redDropsAtOccupancy(8000, 7), 2000u);
-}
-
-TEST(Red, DropProbabilityRampsMonotonicallyUnderAFixedSeed) {
-  std::size_t prev = 0;
-  for (Bytes occ : {3000u, 4500u, 6000u, 7400u}) {
-    const std::size_t drops = redDropsAtOccupancy(occ, 7);
-    EXPECT_GE(drops, prev) << "occupancy " << occ;
-    prev = drops;
-  }
-  EXPECT_GT(prev, 0u) << "the ramp must actually drop inside (min, max)";
-}
-
-TEST(Red, HardCapsStillApplyRegardlessOfTheAverage) {
-  LinkQueueConfig cfg = LinkQueueConfig::red(/*capBytes=*/1000);
-  RedDiscipline d(cfg, 1);
-  FaceQueueStats q;
-  q.bytesQueued = 990;  // EWMA still ~0 on the first call: RED would admit
-  q.packetsQueued = 1;
-  EXPECT_FALSE(d.admit(q, 100)) << "physical byte cap overrides the EWMA";
-}
-
-TEST(FaceLaneSeed, IsDirectionSensitive) {
-  EXPECT_NE(faceLaneSeed(1, 3, 4), faceLaneSeed(1, 4, 3));
-  EXPECT_NE(faceLaneSeed(1, 3, 4), faceLaneSeed(2, 3, 4));
-}
-
-// ---------------------------------------------------------------------------
-// FaceQueue mechanics: lazy serialization, occupancy, sojourn accounting.
+// FaceQueue: DropTail caps, lazy serialization, occupancy, sojourn accounting.
 // ---------------------------------------------------------------------------
 
 FaceQueue makeQueue(Simulator& sim, double bps, Bytes capBytes = 1 << 20,
                     std::size_t capPackets = 1024) {
-  return FaceQueue(0, 1, bps,
-                   std::make_unique<DropTailDiscipline>(capBytes, capPackets), sim);
+  return FaceQueue(0, 1, bps, capBytes, capPackets, sim);
+}
+
+TEST(DropTail, ByteCapRefusesTheOverflowingPacket) {
+  Simulator sim;
+  FaceQueue q = makeQueue(sim, 1e6, /*capBytes=*/1000, /*capPackets=*/100);
+  ASSERT_TRUE(q.admit(900).admitted);
+  EXPECT_FALSE(q.admit(101).admitted);  // one byte over
+  EXPECT_TRUE(q.admit(100).admitted);   // lands exactly on the cap
+  EXPECT_EQ(q.stats().dropped, 1u);
+  EXPECT_EQ(q.stats().bytesQueued, 1000u);
+}
+
+TEST(DropTail, PacketCapRefusesIndependentlyOfBytes) {
+  Simulator sim;
+  FaceQueue q = makeQueue(sim, 1e6, /*capBytes=*/1 << 20, /*capPackets=*/4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.admit(1).admitted);
+  EXPECT_FALSE(q.admit(1).admitted);
+  EXPECT_EQ(q.stats().dropped, 1u);
+  // The first packet's last bit leaves after one serialization time, which
+  // frees one slot.
+  sim.run(q.txTime(1));
+  EXPECT_EQ(q.stats().packetsQueued, 3u);
+  EXPECT_TRUE(q.admit(1).admitted);
+  EXPECT_FALSE(q.admit(1).admitted);
 }
 
 TEST(FaceQueue, BackToBackAdmitsSerializeInOrder) {
@@ -313,8 +262,8 @@ TEST(NetworkQueues, ConservationLedgerAccountsQueueDrops) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: a saturated, RED-guarded world produces bit-identical
-// per-client delivery folds on the serial engine and at 1/2/4 threads.
+// Determinism: a saturated DropTail world produces bit-identical per-client
+// delivery folds on the serial engine and at 1/2/4 threads.
 // ---------------------------------------------------------------------------
 
 struct SatDigest {
@@ -335,8 +284,7 @@ SatDigest runSaturated(std::size_t threads) {
   LineWorld w(6, {}, SimParams::largeScale(), /*ring=*/true);
   w.singleRootRp(2);
   w.topo->setAllBandwidths(4e5);  // 400 kbps: the RP's egress faces back up
-  LinkQueueConfig qc = LinkQueueConfig::red(/*capBytes=*/6000, /*seed=*/99);
-  w.net->enableLinkQueues(qc);
+  w.net->enableLinkQueues(LinkQueueConfig::dropTail(/*capBytes=*/6000));
 
   std::unique_ptr<ParallelSimulator> psim;
   if (threads > 0) {
@@ -408,7 +356,7 @@ SatDigest runSaturated(std::size_t threads) {
   return d;
 }
 
-TEST(QueueDeterminism, SaturatedRedRunIdenticalAcrossThreadCounts) {
+TEST(QueueDeterminism, SaturatedDropTailRunIdenticalAcrossThreadCounts) {
   const SatDigest serial = runSaturated(0);
   EXPECT_GT(serial.queueDrops, 0u) << "the workload must actually overflow";
   EXPECT_GT(serial.enqueuedAtTie, 1u);

@@ -95,15 +95,16 @@ TEST(Wire, GameUpdateAndSnapshotSubtypesPreserved) {
 
 TEST(Wire, ControlPacketsRoundTrip) {
   const std::vector<Name> cds{Name::parse("/1/1"), Name::parse("/2/_")};
+  const std::vector<std::uint64_t> epochs{1, 1};
   const auto fib = roundTrip<copss::FibAddPacket>(
-      makePacket<copss::FibAddPacket>(cds, 12, 900));
+      makePacket<copss::FibAddPacket>(cds, epochs, 12, 900));
   ASSERT_TRUE(fib);
   EXPECT_EQ(fib->prefixes, cds);
   EXPECT_EQ(fib->origin, 12);
   EXPECT_EQ(fib->txnId, 900u);
 
   const auto handoff = roundTrip<copss::RpHandoffPacket>(
-      makePacket<copss::RpHandoffPacket>(cds, 3, 4, 901));
+      makePacket<copss::RpHandoffPacket>(cds, epochs, 3, 4, 901));
   ASSERT_TRUE(handoff);
   EXPECT_EQ(handoff->oldRp, 3);
   EXPECT_EQ(handoff->newRp, 4);
@@ -129,24 +130,22 @@ TEST(Wire, EpochStampedControlPacketsRoundTrip) {
   EXPECT_EQ(handoff->cds, cds);
   EXPECT_EQ(handoff->epochs, epochs);
 
+  const std::uint64_t nonce = (9ULL << 32) + 1;
   const auto reclaim = roundTrip<copss::RpReclaimPacket>(
-      makePacket<copss::RpReclaimPacket>(9, cds, epochs));
+      makePacket<copss::RpReclaimPacket>(9, cds, epochs, 2, nonce));
   ASSERT_TRUE(reclaim);
   EXPECT_EQ(reclaim->origin, 9);
   EXPECT_EQ(reclaim->prefixes, cds);
   EXPECT_EQ(reclaim->epochs, epochs);
+  EXPECT_EQ(reclaim->ttl, 2u);
+  EXPECT_EQ(reclaim->nonce, nonce);
 
   const auto demote = roundTrip<copss::RpDemotePacket>(
-      makePacket<copss::RpDemotePacket>(2, cds, epochs));
+      makePacket<copss::RpDemotePacket>(2, cds, epochs, nonce));
   ASSERT_TRUE(demote);
   EXPECT_EQ(demote->origin, 2);
   EXPECT_EQ(demote->epochs, epochs);
-
-  // Unstamped (legacy) announcements keep round-tripping with empty epochs.
-  const auto legacy = roundTrip<copss::FibAddPacket>(
-      makePacket<copss::FibAddPacket>(cds, 12, 902));
-  ASSERT_TRUE(legacy);
-  EXPECT_TRUE(legacy->epochs.empty());
+  EXPECT_EQ(demote->nonce, nonce);
 }
 
 TEST(Wire, MismatchedEpochCountIsRejected) {
@@ -369,12 +368,12 @@ const TagCase kTagCases[] = {
     {WireTag::RpReclaim,
      +[]() -> PacketPtr {
        return makePacket<copss::RpReclaimPacket>(4, std::vector<Name>{Name::parse("/r")},
-                                                 std::vector<std::uint64_t>{6});
+                                                 std::vector<std::uint64_t>{6}, 2, 106);
      }},
     {WireTag::RpDemote,
      +[]() -> PacketPtr {
        return makePacket<copss::RpDemotePacket>(5, std::vector<Name>{Name::parse("/r")},
-                                                std::vector<std::uint64_t>{7});
+                                                std::vector<std::uint64_t>{7}, 107);
      }},
 };
 
@@ -516,6 +515,59 @@ TEST(WireHardening, EpochCountCannotOverrunInput) {
   w.varint(1);  // one epoch promised...
   // ...but no 8 bytes behind it.
   EXPECT_THROW(decode(w.take(), kNames), WireError);
+}
+
+// Every claim, handoff, reclaim and demote is stamped: exactly one epoch >= 1
+// per name, and a reclaim or demote carries a non-zero nonce. The packet
+// types still hold any value, so encoding an unstamped one yields the bytes
+// a hostile peer would send.
+TEST(WireHardening, EpochCountZeroBesideNamesIsRejected) {
+  const std::vector<Name> one{Name::parse("/p")};
+  const std::vector<Name> two{Name::parse("/p"), Name::parse("/q")};
+  const std::vector<PacketPtr> unstamped{
+      makePacket<copss::FibAddPacket>(two, std::vector<std::uint64_t>{}, 1, 900),
+      makePacket<copss::RpHandoffPacket>(one, std::vector<std::uint64_t>{}, 1, 2, 901),
+      makePacket<copss::RpReclaimPacket>(1, one, std::vector<std::uint64_t>{}, 2, 5),
+      makePacket<copss::RpDemotePacket>(1, two, std::vector<std::uint64_t>{}, 5)};
+  for (const PacketPtr& p : unstamped) {
+    const auto bytes = encode(*p);
+    EXPECT_THROW(decode(bytes, kNames), WireError) << static_cast<int>(wireTag(*p));
+    EXPECT_EQ(tryDecode(bytes, kNames).error, "epoch/prefix count mismatch");
+  }
+  // No names, no epochs: nothing is unstamped.
+  EXPECT_TRUE(roundTrip<copss::FibAddPacket>(makePacket<copss::FibAddPacket>(
+      std::vector<Name>{}, std::vector<std::uint64_t>{}, 1, 902)));
+}
+
+TEST(WireHardening, EpochZeroIsRejected) {
+  const std::vector<Name> cds{Name::parse("/p"), Name::parse("/q")};
+  const std::vector<std::uint64_t> epochs{3, 0};
+  const std::vector<PacketPtr> zero{
+      makePacket<copss::FibAddPacket>(cds, epochs, 1, 900),
+      makePacket<copss::RpHandoffPacket>(cds, epochs, 1, 2, 901),
+      makePacket<copss::RpReclaimPacket>(1, cds, epochs, 2, 5),
+      makePacket<copss::RpDemotePacket>(1, cds, epochs, 5)};
+  for (const PacketPtr& p : zero) {
+    const auto bytes = encode(*p);
+    EXPECT_THROW(decode(bytes, kNames), WireError) << static_cast<int>(wireTag(*p));
+    EXPECT_EQ(tryDecode(bytes, kNames).error, "epoch 0");
+  }
+}
+
+TEST(WireHardening, ReclaimAndDemoteNonceZeroIsRejected) {
+  const std::vector<Name> cds{Name::parse("/p")};
+  const std::vector<std::uint64_t> epochs{4};
+  for (const PacketPtr& p :
+       {PacketPtr(makePacket<copss::RpReclaimPacket>(1, cds, epochs, 2, 0)),
+        PacketPtr(makePacket<copss::RpDemotePacket>(1, cds, epochs, 0))}) {
+    const auto bytes = encode(*p);
+    EXPECT_THROW(decode(bytes, kNames), WireError) << static_cast<int>(wireTag(*p));
+    EXPECT_EQ(tryDecode(bytes, kNames).error, "nonce 0");
+  }
+  EXPECT_TRUE(roundTrip<copss::RpReclaimPacket>(
+      makePacket<copss::RpReclaimPacket>(1, cds, epochs, 2, 1)));
+  EXPECT_TRUE(roundTrip<copss::RpDemotePacket>(
+      makePacket<copss::RpDemotePacket>(1, cds, epochs, 1)));
 }
 
 TEST(WireHardening, EncapsulationDepthCap) {
