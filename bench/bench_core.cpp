@@ -3,9 +3,15 @@
 // 64 self-rescheduling strands whose handlers carry ~32-byte captures (the
 // size class of the network hot path's transmit/enqueueCpu lambdas),
 // measuring events/sec, ns/event and — via a global operator new
-// interposer — allocations/event. Fig. 6's host cost (wall time, allocations
-// per delivery, peak RSS, certified by the exactly-once delivery audit) is
-// measured by perfbench's fig6_static workload.
+// interposer — allocations/event. Two rows:
+//   loop        the strands alone; every delay falls in one 1-997 ns band.
+//   far_timers  the same strands and event budget beside 2,000 no-op timers
+//               scheduled at setup across 1-20 simulated seconds, the shape
+//               of hotspot_churn's player moves pre-scheduled at world-ready:
+//               a pending set spanning seconds around a nanosecond-dense band.
+// Fig. 6's host cost (wall time, allocations per delivery, peak RSS,
+// certified by the exactly-once delivery audit) is measured by perfbench's
+// fig6_static workload.
 //
 // Usage: bench_core [--quick] [--out PATH]
 //   --quick  CI-sized run (10x fewer events); same schema, field "mode": "quick"
@@ -21,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
 #include <string>
 
@@ -121,13 +128,16 @@ struct Tick {
 };
 static_assert(sizeof(Tick) == 32);
 
-Measurement runEventLoop(std::uint64_t totalEvents) {
+Measurement runEventLoop(std::uint64_t totalEvents, std::uint64_t farTimers) {
   LoopWorld w;
   constexpr std::size_t kStrands = 64;
   w.strands.resize(kStrands);
   for (std::size_t i = 0; i < kStrands; ++i) {
     w.strands[i] = {totalEvents / kStrands, 0x9e3779b97f4a7c15ULL * (i + 1)};
     w.sim.scheduleAt(static_cast<SimTime>(i), Tick{&w, i, w.strands[i].state, 0});
+  }
+  for (std::uint64_t i = 0; i < farTimers; ++i) {
+    w.sim.scheduleAt(seconds(1) + static_cast<SimTime>(mix64(i + 1) % seconds(19)), [] {});
   }
   const std::uint64_t allocs0 = g_news;
   const auto t0 = std::chrono::steady_clock::now();
@@ -160,12 +170,21 @@ int main(int argc, char** argv) {
   bench::printHeader("core event-loop throughput", "perf harness; not a paper figure");
 
   const std::uint64_t loopEvents = quick ? 400'000 : 4'000'000;
-  std::printf("event-loop microbench: %llu events...\n",
-              static_cast<unsigned long long>(loopEvents));
-  std::fflush(stdout);
-  const Measurement loop = runEventLoop(loopEvents);
-  std::printf("      %.0f events/sec, %.1f ns/event, %.3f allocs/event\n", loop.eventsPerSec(),
-              loop.nsPerEvent(), loop.allocsPerEvent());
+  struct Row {
+    const char* name;
+    std::uint64_t farTimers;
+    Measurement m;
+  };
+  Row rows[] = {{"loop", 0, {}}, {"far_timers", 2'000, {}}};
+  for (Row& r : rows) {
+    std::printf("event-loop microbench %s: %llu events + %llu far timers...\n", r.name,
+                static_cast<unsigned long long>(loopEvents),
+                static_cast<unsigned long long>(r.farTimers));
+    std::fflush(stdout);
+    r.m = runEventLoop(loopEvents, r.farTimers);
+    std::printf("      %.0f events/sec, %.1f ns/event, %.3f allocs/event\n", r.m.eventsPerSec(),
+                r.m.nsPerEvent(), r.m.allocsPerEvent());
+  }
 
   std::FILE* f = std::fopen(outPath.c_str(), "w");
   if (!f) {
@@ -174,22 +193,26 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"gcopss-bench-core-v2\",\n"
+               "  \"schema\": \"gcopss-bench-core-v3\",\n"
                "  \"mode\": \"%s\",\n"
-               "  \"event_loop\": {\n"
-               "    \"loop\": {\n"
-               "      \"events\": %llu,\n"
-               "      \"wall_sec\": %.6f,\n"
-               "      \"events_per_sec\": %.1f,\n"
-               "      \"ns_per_event\": %.2f,\n"
-               "      \"allocs\": %llu,\n"
-               "      \"allocs_per_event\": %.4f\n"
-               "    }\n"
-               "  }\n"
-               "}\n",
-               quick ? "quick" : "full", static_cast<unsigned long long>(loop.events),
-               loop.wallSec, loop.eventsPerSec(), loop.nsPerEvent(),
-               static_cast<unsigned long long>(loop.allocs), loop.allocsPerEvent());
+               "  \"event_loop\": {\n",
+               quick ? "quick" : "full");
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const Row& r = rows[i];
+    std::fprintf(f,
+                 "    \"%s\": {\n"
+                 "      \"events\": %llu,\n"
+                 "      \"wall_sec\": %.6f,\n"
+                 "      \"events_per_sec\": %.1f,\n"
+                 "      \"ns_per_event\": %.2f,\n"
+                 "      \"allocs\": %llu,\n"
+                 "      \"allocs_per_event\": %.4f\n"
+                 "    }%s\n",
+                 r.name, static_cast<unsigned long long>(r.m.events), r.m.wallSec,
+                 r.m.eventsPerSec(), r.m.nsPerEvent(), static_cast<unsigned long long>(r.m.allocs),
+                 r.m.allocsPerEvent(), i + 1 < std::size(rows) ? "," : "");
+  }
+  std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("(JSON written to %s)\n", outPath.c_str());
   return 0;

@@ -4,9 +4,14 @@
 Two inputs are required, and each is gated against its reference in the
 committed baseline (BENCH_core.json):
 
---fresh takes a fresh `bench_core --quick` run, compared with the field
-"quick_reference". It fails if the bare event loop's events/sec regressed
-more than the threshold (default 20%), or if the loop allocates again.
+--fresh takes one or more fresh `bench_core --quick` runs, compared with the
+field "quick_reference". bench_core times two event-loop rows: "loop", the
+bare loop, and "far_timers", the same loop beside timers seconds ahead. For
+each row it fails if the median events/sec of the runs regressed more than
+the threshold (default 20%) below the reference, or if the row allocates
+again in any run. One --quick row times a loop of a few milliseconds, and a
+shared host's noise alone can push a single run past the threshold; the
+median of several runs (CI passes five) is not moved by one slow run.
 
 --fig6-fresh takes the last stdout line (the result object) of
 `python3 perfbench/run.py --workload fig6_static --seed 1 --seconds 5
@@ -49,7 +54,7 @@ hybrid run must actually exhibit aliasing waste (unwanted packets dropped at
 edges) — otherwise the group aliasing under test is not doing anything.
 
 Usage:
-  scripts/bench_check.py --fresh BENCH_core_quick.json
+  scripts/bench_check.py --fresh BENCH_core_quick.json [BENCH_core_quick2.json ...]
                          --fig6-fresh BENCH_fig6_static_quick.json
                          [--baseline BENCH_core.json] [--threshold 0.20]
                          [--parallel-fresh BENCH_parallel_quick.json]
@@ -64,16 +69,19 @@ Exit status: 0 ok, 1 regression/violation, 2 bad input.
 
 import argparse
 import json
+import statistics
 import sys
 
 # The steady-state event loop must stay allocation-free; allow only the
 # harness's own fixed startup allocations amortized over a --quick run.
 MAX_LOOP_ALLOCS_PER_EVENT = 0.01
+# bench_core's event-loop rows, each gated on its own.
+CORE_ROWS = ("loop", "far_timers")
 # fig6_static's operator new calls in the event-loop window per delivery
-# (world setup excluded). Seed 1 counts 0.188 on a 4-core host.
+# (world setup excluded). Seed 1 counts 0.150 on a 4-vCPU host.
 MAX_FIG6_ALLOCS_PER_DELIVERY = 0.25
 # fig6_static's footprint pass: peak RSS of one plain run in its own
-# process. Seed 1 peaks at 47.8 MB.
+# process. Seed 1 peaks at 47.7 MB.
 MAX_FIG6_PEAK_RSS_MB = 55
 
 
@@ -86,18 +94,23 @@ def check_rate(label, unit, f, b, threshold):
     return []
 
 
-def check_core(fresh, base, threshold):
-    """Gate a bench_core --quick run: the bare event loop's rate against the
-    reference, and its allocations against an absolute bound."""
-    loop = fresh["event_loop"]["loop"]
-    failures = check_rate("event_loop", "events/sec", loop["events_per_sec"],
-                          base["event_loop"]["loop"]["events_per_sec"], threshold)
-
-    ape = loop["allocs"] / loop["events"] if loop["events"] else 0.0
-    print(f"event_loop allocs/event: {ape:.6f}")
-    if ape > MAX_LOOP_ALLOCS_PER_EVENT:
-        failures.append(f"event loop allocates again: {ape:.4f} allocs/event "
-                        f"(bound {MAX_LOOP_ALLOCS_PER_EVENT})")
+def check_core(runs, base, threshold):
+    """Gate bench_core --quick runs: per event-loop row, the runs' median
+    rate against the reference, and every run's allocations against an
+    absolute bound."""
+    failures = []
+    for row in CORE_ROWS:
+        rates = [run["event_loop"][row]["events_per_sec"] for run in runs]
+        failures += check_rate(f"event_loop {row} (median of {len(rates)})", "events/sec",
+                               statistics.median(rates),
+                               base["event_loop"][row]["events_per_sec"], threshold)
+        for i, run in enumerate(runs, 1):
+            r = run["event_loop"][row]
+            ape = r["allocs"] / r["events"] if r["events"] else 0.0
+            print(f"event_loop {row} run {i} allocs/event: {ape:.6f}")
+            if ape > MAX_LOOP_ALLOCS_PER_EVENT:
+                failures.append(f"event_loop {row} allocates again in run {i}: "
+                                f"{ape:.4f} allocs/event (bound {MAX_LOOP_ALLOCS_PER_EVENT})")
     return failures
 
 
@@ -257,7 +270,8 @@ def check_hybrid(fresh, base):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fresh", required=True, help="JSON from a fresh bench_core --quick run")
+    ap.add_argument("--fresh", required=True, nargs="+",
+                    help="JSON from one or more fresh bench_core --quick runs")
     ap.add_argument("--fig6-fresh", required=True,
                     help="result line of a fresh perfbench fig6_static run "
                          "(--seed 1 --seconds 5 --trace 0)")
@@ -282,8 +296,10 @@ def main():
     args = ap.parse_args()
 
     try:
-        with open(args.fresh) as f:
-            fresh = json.load(f)
+        fresh = []
+        for path in args.fresh:
+            with open(path) as f:
+                fresh.append(json.load(f))
         with open(args.fig6_fresh) as f:
             fig6 = json.load(f)
         with open(args.baseline) as f:
@@ -298,10 +314,11 @@ def main():
         print("bench_check: baseline file needs both 'quick_reference' and "
               "'fig6_static_reference' sections", file=sys.stderr)
         return 2
-    if fresh.get("mode") != base.get("mode"):
-        print(f"bench_check: comparing mode={fresh.get('mode')!r} against "
-              f"baseline mode={base.get('mode')!r} is apples-to-oranges", file=sys.stderr)
-        return 2
+    for run in fresh:
+        if run.get("mode") != base.get("mode"):
+            print(f"bench_check: comparing mode={run.get('mode')!r} against "
+                  f"baseline mode={base.get('mode')!r} is apples-to-oranges", file=sys.stderr)
+            return 2
 
     try:
         failures = check_core(fresh, base, args.threshold)

@@ -3,7 +3,7 @@
 
 Feeds hand-built bench_core and perfbench fig6_static results to
 bench_check.py against a hand-built baseline and checks its exit status:
-0 for a clean pair, 1 when one value breaks one gate, 2 for a missing
+0 for clean results, 1 when one value breaks one gate, 2 for a missing
 required input. Needs nothing but python3:
 
     python3 scripts/test_bench_check.py
@@ -22,11 +22,17 @@ SCRIPT = os.path.join(HERE, "bench_check.py")
 sys.path.insert(0, HERE)
 import bench_check  # noqa: E402  (the bounds under test)
 
+
+def core_row(events_per_sec):
+    return {"events": 400064, "wall_sec": 400064 / events_per_sec,
+            "events_per_sec": events_per_sec, "ns_per_event": 1e9 / events_per_sec,
+            "allocs": 64, "allocs_per_event": 0.0002}
+
+
 CORE = {
-    "schema": "gcopss-bench-core-v2",
+    "schema": "gcopss-bench-core-v3",
     "mode": "quick",
-    "event_loop": {"loop": {"events": 400064, "wall_sec": 0.02, "events_per_sec": 2.0e7,
-                            "ns_per_event": 50.0, "allocs": 64, "allocs_per_event": 0.0002}},
+    "event_loop": {"loop": core_row(2.0e7), "far_timers": core_row(1.5e7)},
 }
 
 
@@ -62,7 +68,7 @@ class BenchCheckGates(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
         self.baseline = self.write("baseline.json", {
-            "schema": "gcopss-bench-core-baseline-v2",
+            "schema": "gcopss-bench-core-baseline-v3",
             "quick_reference": CORE,
             "fig6_static_reference": FIG6,
         })
@@ -76,9 +82,9 @@ class BenchCheckGates(unittest.TestCase):
             json.dump(doc, f)
         return path
 
-    def run_check(self, core=CORE, fig6=FIG6, with_fig6=True):
-        cmd = [sys.executable, SCRIPT, "--baseline", self.baseline,
-               "--fresh", self.write("core.json", core)]
+    def run_check(self, cores=(CORE,), fig6=FIG6, with_fig6=True):
+        cmd = [sys.executable, SCRIPT, "--baseline", self.baseline, "--fresh"]
+        cmd += [self.write(f"core{i}.json", core) for i, core in enumerate(cores)]
         if with_fig6:
             cmd += ["--fig6-fresh", self.write("fig6.json", fig6)]
         done = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -106,15 +112,32 @@ class BenchCheckGates(unittest.TestCase):
                 self.assertIn("fig6_static", out.split("FAIL:")[-1])
 
     def test_each_event_loop_gate_fires(self):
-        cases = {
-            "events/sec under floor": ("event_loop.loop.events_per_sec", 2.0e7 * 0.79),
-            "allocs over bound": ("event_loop.loop.allocs", 400064),
-        }
-        for label, (path, value) in cases.items():
-            with self.subTest(label):
-                code, out = self.run_check(core=with_value(CORE, path, value))
-                self.assertEqual(code, 1, out)
-                self.assertIn("event", out.split("FAIL:")[-1])
+        for row, rate in (("loop", 2.0e7), ("far_timers", 1.5e7)):
+            cases = {
+                "events/sec under floor": (f"event_loop.{row}.events_per_sec", rate * 0.79),
+                "allocs over bound": (f"event_loop.{row}.allocs", 400064),
+            }
+            for label, (path, value) in cases.items():
+                with self.subTest(row=row, gate=label):
+                    code, out = self.run_check(cores=[with_value(CORE, path, value)])
+                    self.assertEqual(code, 1, out)
+                    self.assertIn(f"event_loop {row}", out.split("FAIL:")[-1])
+
+    def test_rate_gate_judges_the_median_of_several_runs(self):
+        # Neither the first, the last, the fastest, the slowest nor the mean
+        # run decides both cases the way the median does.
+        slow = with_value(CORE, "event_loop.loop.events_per_sec", 2.0e7 * 0.3)
+        code, out = self.run_check(cores=[slow, CORE, CORE, CORE, slow])
+        self.assertEqual(code, 0, out)
+        code, out = self.run_check(cores=[CORE, slow, slow, CORE, slow])
+        self.assertEqual(code, 1, out)
+        self.assertIn("event_loop loop (median of 5)", out.split("FAIL:")[-1])
+
+    def test_allocations_are_checked_in_every_run(self):
+        allocating = with_value(CORE, "event_loop.far_timers.allocs", 400064)
+        code, out = self.run_check(cores=[CORE, CORE, allocating, CORE, CORE])
+        self.assertEqual(code, 1, out)
+        self.assertIn("event_loop far_timers allocates again in run 3", out.split("FAIL:")[-1])
 
     def test_missing_fig6_input_is_bad_input(self):
         code, out = self.run_check(with_fig6=False)

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/units.hpp"
-#include "des/calendar_queue.hpp"
 #include "des/inline_handler.hpp"
+#include "des/radix_heap.hpp"
 
 namespace gcopss {
 
@@ -15,12 +15,13 @@ namespace gcopss {
 // scheduling order (FIFO via a monotonically increasing sequence number), so
 // a run is a pure function of its inputs and seeds.
 //
-// Engine: a slab-recycled event pool feeding a calendar queue
-// (des/calendar_queue.hpp) with inline-storage handlers
+// Engine: a slab-recycled event pool feeding a monotone radix heap
+// (des/radix_heap.hpp) with inline-storage handlers
 // (des/inline_handler.hpp) — steady-state scheduling performs no heap
-// allocation and push/pop are amortized O(1). The pop order is bit-identical
-// to the binary-heap scheduler this replaced (tests/test_determinism.cpp
-// pins that with goldens recorded under the old engine).
+// allocation, and an event costs O(1) amortized pushes, pops and at most 64
+// bucket moves, however far ahead it is scheduled. The pop order is
+// bit-identical to the binary-heap scheduler of the first engine
+// (tests/test_determinism.cpp pins that with goldens recorded under it).
 class Simulator {
  public:
   using Handler = InlineHandler;
@@ -56,6 +57,8 @@ class Simulator {
 
   template <typename F>
   void scheduleAt(SimTime when, F&& fn) {
+    // Also the radix heap's one precondition: no push below the last
+    // popped `when`, which never exceeds now_.
     assert(when >= now_ && "cannot schedule into the past");
     Event* e = pool_.acquire();
     e->when = when;
@@ -87,9 +90,9 @@ class Simulator {
   // ---- windowed-execution API (used by ParallelSimulator shards) ----
 
   // Timestamp of the earliest pending event, or kNoEvent when the queue is
-  // empty. (Non-const: locating the min warms the calendar-queue scan cache.)
+  // empty. Events may still be scheduled below it, down to now().
   static constexpr SimTime kNoEvent = INT64_MAX;
-  SimTime nextEventWhen() {
+  SimTime nextEventWhen() const {
     Event* top = queue_.peekMin();
     return top ? top->when : kNoEvent;
   }
@@ -114,7 +117,7 @@ class Simulator {
   // Pop and execute `top`, the earliest pending event.
   void dispatch(Event* top);
 
-  CalendarQueue queue_;
+  RadixHeap queue_;
   EventPool pool_;
   SimTime now_ = 0;
   Key frontier_;

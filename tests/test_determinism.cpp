@@ -90,7 +90,7 @@ TEST(Determinism, DifferentFaultSeedGivesDifferentTrace) {
 // ---------------------------------------------------------------------------
 // Cross-implementation oracle: golden hashes captured under the original
 // binary-heap `priority_queue<Event>` scheduler. Any replacement event
-// engine (calendar queue, event pool, inline handlers, ...) must reproduce
+// engine (radix heap, event pool, inline handlers, ...) must reproduce
 // both bit-identically — the (when, seq) FIFO-at-equal-timestamp contract is
 // what makes a chaos seed replayable across engine rewrites.
 // ---------------------------------------------------------------------------
